@@ -249,10 +249,12 @@ pub fn check_hom(cert: &HomCert, src: &FactStore, dst: &FactStore) -> Result<(),
 /// be final, and the resulting fact set must equal the outcome's claim.
 pub fn check_chase(cert: &ChaseCert) -> Result<(), Reject> {
     let mut subst: BTreeMap<Null, Value> = BTreeMap::new();
-    let mut facts: BTreeSet<CertFact> = fact_set(&cert.initial);
+    let mut facts: BTreeSet<CertFact> = BTreeSet::new();
+    let mut occurs: BTreeMap<Null, Vec<CertFact>> = BTreeMap::new();
     let mut used: BTreeSet<Null> = BTreeSet::new();
-    for (_, args) in &facts {
-        used.extend(args.iter().filter_map(|v| v.as_null()));
+    for f in &cert.initial {
+        used.extend(f.1.iter().filter_map(|v| v.as_null()));
+        insert_fact(&mut facts, &mut occurs, f.clone());
     }
     let mut clash_at: Option<usize> = None;
 
@@ -295,14 +297,15 @@ pub fn check_chase(cert: &ChaseCert) -> Result<(), Reject> {
                         if *merged != Some((n, root)) {
                             return Err(Reject::MergeRootMismatch { step });
                         }
-                        apply_merge(&mut subst, &mut facts, &mut used, n, root);
+                        apply_merge(&mut subst, &mut facts, &mut occurs, &mut used, n, root);
                     }
                     (Value::Null(a), Value::Null(b)) => {
                         let (loser, root) = if a.0 < b.0 { (b, a) } else { (a, b) };
                         if *merged != Some((loser, Value::Null(root))) {
                             return Err(Reject::MergeRootMismatch { step });
                         }
-                        apply_merge(&mut subst, &mut facts, &mut used, loser, Value::Null(root));
+                        let root = Value::Null(root);
+                        apply_merge(&mut subst, &mut facts, &mut occurs, &mut used, loser, root);
                     }
                 }
             }
@@ -348,7 +351,7 @@ pub fn check_chase(cert: &ChaseCert) -> Result<(), Reject> {
                         args.push(v);
                     }
                     used.extend(args.iter().filter_map(|v| v.as_null()));
-                    facts.insert((a.rel.clone(), args));
+                    insert_fact(&mut facts, &mut occurs, (a.rel.clone(), args));
                 }
             }
         }
@@ -379,11 +382,37 @@ pub fn check_chase(cert: &ChaseCert) -> Result<(), Reject> {
     }
 }
 
-/// Apply one merge: record the parent, then re-resolve every fact (and
-/// mark both endpoints used).
+/// Insert a fact into the replayed set, indexing a new fact under each
+/// null it mentions.
+fn insert_fact(
+    facts: &mut BTreeSet<CertFact>,
+    occurs: &mut BTreeMap<Null, Vec<CertFact>>,
+    fact: CertFact,
+) {
+    if !facts.contains(&fact) {
+        for n in fact.1.iter().filter_map(|v| v.as_null()) {
+            occurs.entry(n).or_default().push(fact.clone());
+        }
+        facts.insert(fact);
+    }
+}
+
+/// Apply one merge: record the parent, mark both endpoints used, and
+/// rewrite the facts that mention the loser.
+///
+/// Invariant: the replayed fact set is fully resolved — no fact mentions
+/// a substitution key. The initial facts start under an empty
+/// substitution; a `Fire` resolves its assignment, and its fresh nulls
+/// are never keys (every key is marked used, and a fresh null must be
+/// unused); both merge sides are resolved roots. So the one new key,
+/// `loser`, occurs only in the facts indexed under it, and rewriting
+/// those gives the same set as re-resolving every fact. Index entries of
+/// rewritten facts go stale; a stale entry mentions an earlier loser, so
+/// it is never in the set again and `remove` skips it.
 fn apply_merge(
     subst: &mut BTreeMap<Null, Value>,
     facts: &mut BTreeSet<CertFact>,
+    occurs: &mut BTreeMap<Null, Vec<CertFact>>,
     used: &mut BTreeSet<Null>,
     loser: Null,
     root: Value,
@@ -393,16 +422,12 @@ fn apply_merge(
     if let Value::Null(r) = root {
         used.insert(r);
     }
-    let resolved: BTreeSet<CertFact> = facts
-        .iter()
-        .map(|(rel, args)| {
-            (
-                rel.clone(),
-                args.iter().map(|&v| resolve(subst, v)).collect(),
-            )
-        })
-        .collect();
-    *facts = resolved;
+    for fact in occurs.remove(&loser).unwrap_or_default() {
+        if facts.remove(&fact) {
+            let args = fact.1.iter().map(|&v| resolve(subst, v)).collect();
+            insert_fact(facts, occurs, (fact.0, args));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

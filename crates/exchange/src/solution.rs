@@ -22,10 +22,9 @@ pub fn canonical_solution(
     d: &GenDb,
     target_schema: &ca_gdm::schema::GenSchema,
 ) -> GenDb {
-    let apps = mapping.applications(d);
     let mut out = GenDb::new(target_schema.clone());
-    for app in apps {
-        out = out.disjoint_union(&app);
+    for app in mapping.applications(d) {
+        out.append(app);
     }
     out
 }

@@ -151,16 +151,26 @@ impl GenDb {
 
     /// The disjoint union `D ⊔ D′` (same schema; nulls are *not* renamed).
     pub fn disjoint_union(&self, other: &GenDb) -> GenDb {
+        let mut out = self.clone();
+        out.append(other.clone());
+        out
+    }
+
+    /// In-place disjoint union: move `other`'s nodes after this
+    /// database's, shifting its structural tuples' node ids. Costs
+    /// O(|other|), so folding many databases into one stays linear.
+    pub fn append(&mut self, other: GenDb) {
         assert_eq!(self.schema, other.schema, "same schema required");
         let shift = self.n_nodes() as u32;
-        let mut out = self.clone();
-        out.labels.extend(other.labels.iter().copied());
-        out.data.extend(other.data.iter().cloned());
-        for (rel, nodes) in &other.tuples {
-            out.tuples
-                .push((*rel, nodes.iter().map(|&n| n + shift).collect()));
-        }
-        out
+        self.labels.extend(other.labels);
+        self.data.extend(other.data);
+        self.tuples
+            .extend(other.tuples.into_iter().map(|(rel, mut nodes)| {
+                for n in &mut nodes {
+                    *n += shift;
+                }
+                (rel, nodes)
+            }));
     }
 }
 

@@ -12,7 +12,7 @@
 
 use ca_core::value::Value;
 use ca_hom::structure::RelStructure;
-use ca_relational::database::NaiveDatabase;
+use ca_relational::database::{Fact, NaiveDatabase};
 use ca_xml::tree::XmlTree;
 
 use crate::database::GenDb;
@@ -45,14 +45,21 @@ pub fn relational_view(d: &GenDb) -> Option<NaiveDatabase> {
     }
     let mut schema = ca_relational::schema::Schema::new();
     for sym in d.schema.label_symbols() {
-        schema.add_relation(d.schema.label_name(sym), d.schema.label_arity(sym));
+        let rel = schema.add_relation(d.schema.label_name(sym), d.schema.label_arity(sym));
+        debug_assert_eq!(rel, sym, "relation symbols mirror label symbols");
     }
-    let mut out = NaiveDatabase::new(schema);
-    for (label, data) in d.labels.iter().zip(&d.data) {
-        let rel = out.schema.relation(d.schema.label_name(*label))?;
-        out.add_fact(rel, data.clone());
-    }
-    Some(out)
+    // Labels and relations are declared in the same order, so a label
+    // symbol is its relation's symbol.
+    let facts = d
+        .labels
+        .iter()
+        .zip(&d.data)
+        .map(|(label, data)| Fact {
+            rel: *label,
+            args: data.clone(),
+        })
+        .collect();
+    Some(NaiveDatabase::from_facts(schema, facts))
 }
 
 /// The name of the child relation used by XML encodings.

@@ -14,7 +14,7 @@
 //! proof (preservation is undecidable in general).
 
 use ca_core::value::Value;
-use ca_relational::database::NaiveDatabase;
+use ca_relational::database::{Fact, NaiveDatabase};
 use ca_relational::schema::Schema;
 
 use crate::ast::Fo;
@@ -37,7 +37,8 @@ pub struct PreservationWitness {
 /// Enumerate all complete databases over one binary relation `R` with
 /// domain `{0, …, domain-1}` and at most `max_facts` facts.
 fn enumerate_dbs(domain: i64, max_facts: usize) -> Vec<NaiveDatabase> {
-    let schema = Schema::from_relations(&[("R", 2)]);
+    let mut schema = Schema::new();
+    let r = schema.add_relation("R", 2);
     let pairs: Vec<(i64, i64)> = (0..domain)
         .flat_map(|a| (0..domain).map(move |b| (a, b)))
         .collect();
@@ -47,13 +48,16 @@ fn enumerate_dbs(domain: i64, max_facts: usize) -> Vec<NaiveDatabase> {
         if mask.count_ones() as usize > max_facts {
             continue;
         }
-        let mut db = NaiveDatabase::new(schema.clone());
-        for (i, &(a, b)) in pairs.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                db.add("R", vec![Value::Const(a), Value::Const(b)]);
-            }
-        }
-        out.push(db);
+        let facts = pairs
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| mask & (1 << i) != 0)
+            .map(|(_, &(a, b))| Fact {
+                rel: r,
+                args: vec![Value::Const(a), Value::Const(b)],
+            })
+            .collect();
+        out.push(NaiveDatabase::from_facts(schema.clone(), facts));
     }
     out
 }
@@ -61,19 +65,22 @@ fn enumerate_dbs(domain: i64, max_facts: usize) -> Vec<NaiveDatabase> {
 /// Apply a *structure* homomorphism (a map on all domain elements, not
 /// just nulls) to a complete database.
 fn apply_structure_map(db: &NaiveDatabase, map: &[i64]) -> NaiveDatabase {
-    let mut out = NaiveDatabase::new(db.schema.clone());
-    for f in db.facts() {
-        let args: Vec<Value> = f
-            .args
-            .iter()
-            .map(|v| match v {
-                Value::Const(c) => Value::Const(map[*c as usize]),
-                Value::Null(_) => unreachable!("complete database"),
-            })
-            .collect();
-        out.add_fact(f.rel, args);
-    }
-    out
+    let facts = db
+        .facts()
+        .iter()
+        .map(|f| Fact {
+            rel: f.rel,
+            args: f
+                .args
+                .iter()
+                .map(|v| match v {
+                    Value::Const(c) => Value::Const(map[*c as usize]),
+                    Value::Null(_) => unreachable!("complete database"),
+                })
+                .collect(),
+        })
+        .collect();
+    NaiveDatabase::from_facts(db.schema.clone(), facts)
 }
 
 /// Exhaustively search for a homomorphism-preservation counterexample for

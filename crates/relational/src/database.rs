@@ -109,14 +109,28 @@ impl NaiveDatabase {
         }
     }
 
-    /// Add a fact. Panics if the relation is unknown or the arity is wrong.
+    /// Build a database from facts in bulk: each fact's arity is checked
+    /// exactly as in [`Self::add_fact`], then one sort and dedup —
+    /// O(n log n), where a loop of `add_fact` is O(n²) in the worst case.
+    /// Panics if a relation is unknown or an arity is wrong.
+    pub fn from_facts(schema: Schema, mut facts: Vec<Fact>) -> Self {
+        for f in &facts {
+            check_arity(&schema, f.rel, &f.args);
+        }
+        facts.sort_unstable();
+        facts.dedup();
+        NaiveDatabase {
+            schema,
+            facts,
+            add_memo: None,
+        }
+    }
+
+    /// Add one fact (a sorted insert; bulk builds go through
+    /// [`Self::from_facts`]). Panics if the relation is unknown or the
+    /// arity is wrong.
     pub fn add_fact(&mut self, rel: Symbol, args: Vec<Value>) {
-        assert_eq!(
-            args.len(),
-            self.schema.arity(rel),
-            "arity mismatch for {}",
-            self.schema.name(rel)
-        );
+        check_arity(&self.schema, rel, &args);
         let fact = Fact { rel, args };
         match self.facts.binary_search(&fact) {
             Ok(_) => {}
@@ -146,9 +160,12 @@ impl NaiveDatabase {
         &self.facts
     }
 
-    /// Facts of one relation.
+    /// Facts of one relation: facts sort by relation first, so they are
+    /// one consecutive run, found by binary search.
     pub fn relation(&self, rel: Symbol) -> impl Iterator<Item = &Fact> {
-        self.facts.iter().filter(move |f| f.rel == rel)
+        let start = self.facts.partition_point(|f| f.rel < rel);
+        let len = self.facts[start..].partition_point(|f| f.rel == rel);
+        self.facts[start..start + len].iter()
     }
 
     /// Number of facts.
@@ -203,23 +220,27 @@ impl NaiveDatabase {
 
     /// Apply a valuation, producing a new database (facts may merge).
     pub fn apply(&self, h: &Valuation) -> NaiveDatabase {
-        let mut out = NaiveDatabase::new(self.schema.clone());
-        for f in &self.facts {
-            out.add_fact(f.rel, h.apply_tuple(&f.args));
-        }
-        out
+        let facts = self
+            .facts
+            .iter()
+            .map(|f| Fact {
+                rel: f.rel,
+                args: h.apply_tuple(&f.args),
+            })
+            .collect();
+        NaiveDatabase::from_facts(self.schema.clone(), facts)
     }
 
     /// `π_cpl(D)`: drop every fact containing a null — the greatest
     /// complete object below `D` (Section 3's retraction, instantiated).
     pub fn complete_part(&self) -> NaiveDatabase {
-        let mut out = NaiveDatabase::new(self.schema.clone());
-        for f in &self.facts {
-            if f.args.iter().all(|v| v.is_const()) {
-                out.add_fact(f.rel, f.args.clone());
-            }
-        }
-        out
+        let facts = self
+            .facts
+            .iter()
+            .filter(|f| f.args.iter().all(|v| v.is_const()))
+            .cloned()
+            .collect();
+        NaiveDatabase::from_facts(self.schema.clone(), facts)
     }
 
     /// A *fresh-constant completion*: map each null to a distinct constant
@@ -284,21 +305,40 @@ impl NaiveDatabase {
     /// rename first).
     pub fn union(&self, other: &NaiveDatabase) -> NaiveDatabase {
         assert!(self.schema.compatible_with(&other.schema));
-        let mut out = self.clone();
-        for f in &other.facts {
-            let rel = out
-                .schema
+        let rel_of = |f: &Fact| {
+            self.schema
                 .relation(other.schema.name(f.rel))
-                .expect("compatible schema");
-            out.add_fact(rel, f.args.clone());
-        }
-        out
+                .expect("compatible schema")
+        };
+        let facts = self
+            .facts
+            .iter()
+            .cloned()
+            .chain(other.facts.iter().map(|f| Fact {
+                rel: rel_of(f),
+                args: f.args.clone(),
+            }))
+            .collect();
+        NaiveDatabase::from_facts(self.schema.clone(), facts)
     }
 
     /// Does the database contain the given fact?
     pub fn contains(&self, rel: Symbol, args: &[Value]) -> bool {
-        self.relation(rel).any(|f| f.args == args)
+        self.facts
+            .binary_search_by(|f| (f.rel, f.args.as_slice()).cmp(&(rel, args)))
+            .is_ok()
     }
+}
+
+/// The arity check shared by [`NaiveDatabase::add_fact`] and
+/// [`NaiveDatabase::from_facts`].
+fn check_arity(schema: &Schema, rel: Symbol, args: &[Value]) {
+    assert_eq!(
+        args.len(),
+        schema.arity(rel),
+        "arity mismatch for {}",
+        schema.name(rel)
+    );
 }
 
 /// Convenience macro-free builders used pervasively in tests and examples.

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use ca_core::value::{NullGen, Value};
 
-use crate::database::NaiveDatabase;
+use crate::database::{Fact, NaiveDatabase};
 
 /// The pair-indexed fresh nulls `⊥_{xy}` of the `⊗` construction: one
 /// fresh null per *distinct* pair of merged values, shared across the
@@ -79,13 +79,16 @@ pub fn merge_tuples(t: &[Value], t2: &[Value], nulls: &mut PairNulls) -> Vec<Val
 pub fn glb_databases(a: &NaiveDatabase, b: &NaiveDatabase) -> NaiveDatabase {
     assert!(a.schema.compatible_with(&b.schema), "incompatible schemas");
     let mut nulls = PairNulls::fresh_for(a, b);
-    let mut out = NaiveDatabase::new(a.schema.clone());
+    let mut facts = Vec::new();
     for fa in a.facts() {
         for fb in b.relation_by_name(a.schema.name(fa.rel)) {
-            out.add_fact(fa.rel, merge_tuples(&fa.args, &fb.args, &mut nulls));
+            facts.push(Fact {
+                rel: fa.rel,
+                args: merge_tuples(&fa.args, &fb.args, &mut nulls),
+            });
         }
     }
-    out
+    NaiveDatabase::from_facts(a.schema.clone(), facts)
 }
 
 /// The glb `⋀ X` of finitely many databases, by iterating the binary glb.

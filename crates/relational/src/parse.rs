@@ -16,7 +16,7 @@
 
 use ca_core::value::{NullGen, Value};
 
-use crate::database::NaiveDatabase;
+use crate::database::{Fact, NaiveDatabase};
 use crate::schema::Schema;
 
 /// A parse error with a message and byte offset.
@@ -142,9 +142,11 @@ pub fn parse_database(input: &str) -> Result<NaiveDatabase, ParseError> {
         named: Vec::new(),
         gen: NullGen::starting_at(1_000_000),
     };
-    let mut facts: Vec<(String, Vec<Value>)> = Vec::new();
+    let mut schema = Schema::new();
+    let mut facts: Vec<Fact> = Vec::new();
     while !p.at_end() {
-        let rel = p.ident()?;
+        let start = p.pos;
+        let name = p.ident()?;
         if !p.eat('(') {
             return Err(p.error("expected `(`"));
         }
@@ -161,18 +163,25 @@ pub fn parse_database(input: &str) -> Result<NaiveDatabase, ParseError> {
         if !p.eat(')') {
             return Err(p.error("expected `)`"));
         }
-        facts.push((rel, args));
+        // Infer the schema as facts arrive; a relation used at two
+        // arities is an input error, not a schema-redeclaration panic.
+        let rel = match schema.relation(&name) {
+            Some(rel) if schema.arity(rel) != args.len() => {
+                return Err(ParseError {
+                    message: format!(
+                        "relation `{name}` used with arity {} after arity {}",
+                        args.len(),
+                        schema.arity(rel)
+                    ),
+                    offset: start,
+                });
+            }
+            Some(rel) => rel,
+            None => schema.add_relation(&name, args.len()),
+        };
+        facts.push(Fact { rel, args });
     }
-    // Infer schema.
-    let mut schema = Schema::new();
-    for (rel, args) in &facts {
-        schema.add_relation(rel, args.len());
-    }
-    let mut db = NaiveDatabase::new(schema);
-    for (rel, args) in facts {
-        db.add(&rel, args);
-    }
-    Ok(db)
+    Ok(NaiveDatabase::from_facts(schema, facts))
 }
 
 #[cfg(test)]
@@ -224,6 +233,16 @@ mod tests {
         assert!(parse_database("R(?)").is_err());
         assert!(parse_database("1(2)").is_err());
         assert!(parse_database("R(1) garbage").is_err());
+    }
+
+    /// A relation used at two arities is a typed error at the second
+    /// use, not a panic in schema inference.
+    #[test]
+    fn conflicting_arity_is_a_parse_error() {
+        let err = parse_database("R(1); R(1,2)").unwrap_err();
+        assert_eq!(err.offset, 6);
+        assert!(err.message.contains("arity 2 after arity 1"), "{err}");
+        assert!(parse_database("R(1); S(1,2); R(3)").is_ok());
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! and the differential oracles; the engines evaluate over the columnar
 //! store. [`to_store`] is the O(facts) bulk ingest (the database is
 //! already deduplicated and sorted, so it uses the store's unchecked
-//! append path); [`from_store`] resolves live facts back to values.
+//! append path); [`from_store`] resolves live facts back to values and
+//! builds the database with one bulk sort ([`NaiveDatabase::from_facts`]).
 //!
 //! Relation symbols are registered in schema declaration order, so a
 //! bridged store's symbols are *identical* (same indices) to the
@@ -13,7 +14,7 @@
 
 use ca_core::store::{FactStore, ValueId};
 
-use crate::database::NaiveDatabase;
+use crate::database::{Fact, NaiveDatabase};
 use crate::schema::Schema;
 
 /// Load a naïve database into a fresh columnar store.
@@ -56,11 +57,12 @@ pub fn from_store(s: &FactStore) -> NaiveDatabase {
     for rel in s.relations() {
         schema.add_relation(s.rel_name(rel), s.arity(rel));
     }
-    let mut db = NaiveDatabase::new(schema);
-    for f in s.iter_live() {
-        db.add_fact(s.fact_rel(f), s.fact_values(f));
-    }
-    db
+    let mut facts = Vec::with_capacity(s.n_live() as usize);
+    facts.extend(s.iter_live().map(|f| Fact {
+        rel: s.fact_rel(f),
+        args: s.fact_values(f),
+    }));
+    NaiveDatabase::from_facts(schema, facts)
 }
 
 #[cfg(test)]

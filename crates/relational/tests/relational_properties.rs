@@ -6,8 +6,8 @@ use proptest::prelude::*;
 
 use ca_core::preorder::Preorder;
 use ca_core::value::Value;
-use ca_relational::database::NaiveDatabase;
-use ca_relational::generate::{random_codd_db, random_naive_db, DbParams, Rng};
+use ca_relational::database::{Fact, NaiveDatabase};
+use ca_relational::generate::{random_codd_db, random_naive_db, random_schema, DbParams, Rng};
 use ca_relational::glb::glb_databases;
 use ca_relational::hom::{find_hom, is_hom};
 use ca_relational::ordering::InfoOrder;
@@ -108,6 +108,103 @@ proptest! {
         for r in a.completions_over(&[0, 1]) {
             prop_assert!(ca_relational::hom::in_semantics(&r, &a));
         }
+    }
+}
+
+/// A random fact list over a random schema: a small value domain so
+/// duplicates are common, plus explicit repeats, in shuffled order.
+fn raw_facts(seed: u64) -> (Schema, Vec<Fact>) {
+    let mut rng = Rng::new(seed);
+    let n_relations = 1 + rng.below(3) as usize;
+    let schema = random_schema(&mut rng, n_relations, 3);
+    let symbols: Vec<_> = schema.symbols().collect();
+    let mut facts: Vec<Fact> = (0..rng.below(40))
+        .map(|_| {
+            let rel = symbols[rng.below(symbols.len() as u64) as usize];
+            let args = (0..schema.arity(rel))
+                .map(|_| match rng.below(3) {
+                    0 => Value::null(rng.below(3) as u32),
+                    _ => Value::Const(rng.below(3) as i64),
+                })
+                .collect();
+            Fact { rel, args }
+        })
+        .collect();
+    for _ in 0..rng.below(10).min(facts.len() as u64) {
+        let dup = facts[rng.below(facts.len() as u64) as usize].clone();
+        facts.push(dup);
+    }
+    for i in (1..facts.len()).rev() {
+        facts.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    (schema, facts)
+}
+
+/// The panic message of `f`, if it panics.
+fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> Option<String> {
+    std::panic::catch_unwind(f)
+        .err()
+        .map(|e| match e.downcast::<String>() {
+            Ok(s) => *s,
+            Err(e) => e
+                .downcast::<&str>()
+                .map_or_else(|_| String::new(), |s| s.to_string()),
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The bulk build equals the per-fact `add_fact` build on shuffled
+    /// input with duplicates, and answers `relation`/`contains` alike.
+    #[test]
+    fn from_facts_equals_per_fact_build(seed in any::<u64>()) {
+        let (schema, facts) = raw_facts(seed);
+        let mut oracle = NaiveDatabase::new(schema.clone());
+        for f in facts.clone() {
+            oracle.add_fact(f.rel, f.args);
+        }
+        let bulk = NaiveDatabase::from_facts(schema.clone(), facts.clone());
+        prop_assert_eq!(bulk.facts(), oracle.facts());
+        prop_assert!(bulk == oracle);
+        for sym in schema.symbols() {
+            let by_filter: Vec<&Fact> = oracle.facts().iter().filter(|f| f.rel == sym).collect();
+            prop_assert_eq!(bulk.relation(sym).collect::<Vec<_>>(), by_filter);
+        }
+        for f in &facts {
+            prop_assert!(bulk.contains(f.rel, &f.args));
+            let mut other = f.args.clone();
+            other.push(Value::Const(0));
+            prop_assert!(!bulk.contains(f.rel, &other));
+        }
+    }
+}
+
+proptest! {
+    // Few cases: each one prints two expected panic messages.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A wrong arity panics in the bulk build exactly as in `add_fact`.
+    #[test]
+    fn from_facts_rejects_arity_like_add_fact(seed in any::<u64>()) {
+        let (schema, mut facts) = raw_facts(seed);
+        if facts.is_empty() {
+            return Ok(());
+        }
+        let bad = (seed % facts.len() as u64) as usize;
+        facts[bad].args.push(Value::Const(7));
+        let (s1, f1) = (schema.clone(), facts.clone());
+        let per_fact = panic_message(move || {
+            let mut db = NaiveDatabase::new(s1);
+            for f in f1 {
+                db.add_fact(f.rel, f.args);
+            }
+        });
+        let bulk = panic_message(move || {
+            NaiveDatabase::from_facts(schema, facts);
+        });
+        prop_assert!(per_fact.as_deref().is_some_and(|m| m.contains("arity mismatch")));
+        prop_assert_eq!(bulk, per_fact);
     }
 }
 
