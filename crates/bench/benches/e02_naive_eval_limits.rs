@@ -2,7 +2,7 @@
 //! adequate pool) vs naïve FO evaluation.
 //!
 //! `certain_answer_fo` now sweeps completions through the query engine's
-//! parallel driver (`CA_EVAL_THREADS`, default 1 in benches), so this
+//! parallel sweep (default width `CA_THREADS`), so this
 //! also exercises the completion-space addressing layer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -2,7 +2,7 @@
 //! image-enumeration procedure, and the ϕ₀ reduction.
 //!
 //! `certain_existential` now addresses the grounding grid through the
-//! query engine's completion-sweep driver (`CA_EVAL_THREADS` workers with
+//! query engine's completion sweep (`CA_THREADS` workers with
 //! early exit), so this bench also covers that routing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -30,6 +30,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use ca_bench::report::Report;
+use ca_core::exec;
 use ca_core::value::{Null, Value};
 use ca_exchange::chase::{chase_with, ChaseConfig, ChaseOutcome, Egd};
 use ca_exchange::mapping::Rule;
@@ -37,7 +38,6 @@ use ca_exchange::reference;
 use ca_gdm::database::GenDb;
 use ca_gdm::hom::gdm_equiv;
 use ca_gdm::schema::GenSchema;
-use ca_hom::csp::default_threads;
 
 /// Minimum wall time over `reps` runs (damps scheduler noise better
 /// than the mean for sub-millisecond cases).
@@ -236,7 +236,7 @@ fn run_case(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let par_threads = default_threads().max(2);
+    let par_threads = exec::width().max(2);
     let mut rows: Vec<Row> = Vec::new();
 
     // --- chase_chain: transitive closure of a path (reference-timed) ---
@@ -370,25 +370,23 @@ fn main() {
         );
         json_rows.push(row);
     }
-    let host_cores = ca_core::config::available_parallelism_or(1);
-    report.note("ref = seed chase loop (one firing per pass, full re-match through the CSP matcher); seq = engine, threads=1; par = engine, threads = max(CA_HOM_THREADS, 2)");
+    let host_cores = ca_bench::report::host_cores();
+    report.note("ref = seed chase loop (one firing per pass, full re-match through the CSP matcher); seq = engine, threads=1; par = engine, threads = max(default width, 2)");
     report.note("every reference-timed case asserts engine-vs-reference agreement (outcome + hom-equivalence) and sequential-vs-parallel byte-equality before timing; engine-only cases assert the closed-form chased size instead");
     if host_cores <= 1 {
         report.note("single-core host: the par column spawns its requested width on one core, so it times the partitioned code path's coordination overhead and par_vs_seq ≈ 1.0 is parity, not regression");
     }
     println!("{report}");
 
-    // Effective width: an explicit CA_PART_THREADS overrides the config
-    // width; either way the chase honors the request verbatim (rounds
-    // with fewer than PAR_MIN_SEED seeds run sequentially regardless).
-    let effective_threads = ca_core::config::part_threads_set().unwrap_or(par_threads);
+    // The chase honours the requested width verbatim (rounds with fewer
+    // than PAR_MIN_SEED seeds run sequentially regardless).
     let json = format!(
         "{{\n  \"bench\": \"chase_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"threads_default\": {},\n  \"threads_requested\": {},\n  \"threads_effective\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         ca_bench::report::git_rev(),
         host_cores,
-        default_threads(),
+        exec::width(),
         par_threads,
-        effective_threads,
+        par_threads,
         json_rows.join(",\n")
     );
     std::fs::write("BENCH_chase.json", &json).expect("write BENCH_chase.json");

@@ -37,6 +37,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use ca_bench::report::Report;
+use ca_core::exec;
 use ca_core::value::Value;
 use ca_exchange::mapping::{Mapping, Rule};
 use ca_exchange::solution::{canonical_solution, core_of_gendb_with};
@@ -44,7 +45,6 @@ use ca_gdm::database::GenDb;
 use ca_gdm::hom::gdm_equiv;
 use ca_gdm::schema::GenSchema;
 use ca_graph::{core_of_with, reference, Digraph};
-use ca_hom::csp::default_threads;
 
 fn time_reps(reps: u32, mut f: impl FnMut()) -> u128 {
     let start = Instant::now();
@@ -130,7 +130,7 @@ struct Row {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let par_threads = default_threads().max(2);
+    let par_threads = exec::width().max(2);
     let mut rows: Vec<Row> = Vec::new();
 
     // --- core_product: core(C_a × C_b) = C_lcm(a,b) (E13 / E3 shape) ---
@@ -325,20 +325,20 @@ fn main() {
         );
         json_rows.push(row);
     }
-    report.note("ref = seed retract loop (one CSP compile per candidate per round); seq = ca_hom::retract, threads=1; par = probe threads = max(CA_HOM_THREADS, 2)");
+    report.note("ref = seed retract loop (one CSP compile per candidate per round); seq = ca_hom::retract, threads=1; par = probe threads = max(default width, 2)");
     report.note(
         "every case asserts new-vs-reference agreement (core size + hom-equivalence) before timing",
     );
     println!("{report}");
 
-    // The CSP search spawns exactly the requested width (no host clamp),
-    // so requested == effective; host_cores tells the reader whether
+    // The retraction probe honours the requested width verbatim, so
+    // requested == effective; host_cores tells the reader whether
     // par-vs-seq parity is contention or real work.
     let json = format!(
         "{{\n  \"bench\": \"core_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"threads_default\": {},\n  \"threads_requested\": {},\n  \"threads_effective\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         ca_bench::report::git_rev(),
         ca_bench::report::host_cores(),
-        default_threads(),
+        exec::width(),
         par_threads,
         par_threads,
         json_rows.join(",\n")

@@ -341,7 +341,7 @@ fn main() {
         "{{\n  \"bench\": \"ingest_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"threads_default\": {},\n  \"threads_requested\": {widths_json},\n  \"threads_effective\": {widths_json},\n  \"results\": [\n{}\n  ]\n}}\n",
         git_rev(),
         cores,
-        ca_core::config::part_threads(),
+        ca_core::exec::width(),
         json_rows.join(",\n")
     );
     std::fs::write("BENCH_ingest.json", &json).expect("write BENCH_ingest.json");

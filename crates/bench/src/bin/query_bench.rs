@@ -237,10 +237,9 @@ struct Row {
     opt: Option<OptCols>,
 }
 
-/// The partition width the join families' `par` column *requests*: the
-/// gated entry clamps it to the host cores (unless `CA_PART_THREADS`
-/// forces a width), so a one-core host honestly measures parity instead
-/// of coordination overhead. The JSON footer records both numbers.
+/// The partition width the join families' `par` column requests; the
+/// gated entry honours it verbatim whenever the join is big enough to
+/// partition. The JSON footer records it next to the host width.
 const PART_WIDTH: usize = 4;
 
 /// One join-family case: assert agreement, then time reference, greedy
@@ -290,23 +289,13 @@ fn join_case(
             std::hint::black_box(engine::eval_ucq_on(&plan_greedy, &mut DbIndex::new(db)));
         })
     };
-    // When the gate clamps the width to one, the "par" entry runs the
-    // identical sequential kernel — share the measurement so the column
-    // reports parity exactly instead of timer noise.
-    let effective = ca_core::config::part_threads_set()
-        .unwrap_or_else(|| PART_WIDTH.min(ca_core::config::available_parallelism_or(1)))
-        .max(1);
-    let par_us = if effective == 1 {
-        seq_us
-    } else {
-        time_reps(reps, || {
-            std::hint::black_box(engine::eval_ucq_gated(
-                &plan_cost,
-                &mut DbIndex::new(db),
-                PART_WIDTH,
-            ));
-        })
-    };
+    let par_us = time_reps(reps, || {
+        std::hint::black_box(engine::eval_ucq_gated(
+            &plan_cost,
+            &mut DbIndex::new(db),
+            PART_WIDTH,
+        ));
+    });
     let (plan_cold_ns, plan_warm_ns) = plan_times(q, &db.schema, &st);
     if quick {
         if assert_cost_wins {
@@ -349,7 +338,7 @@ fn join_case(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let par_threads = engine::eval_threads().max(2);
+    let par_threads = ca_core::exec::width().max(2);
     let mut rng = Rng::new(0xca11ab1e);
     let mut rows: Vec<Row> = Vec::new();
 
@@ -591,24 +580,19 @@ fn main() {
     report.note("answers = result rows (table mode) / certainty bit (bool mode); every case asserts reference and engine agree before timing");
     println!("{report}");
 
-    // Thread accounting: `host_cores` is the physical budget; the
-    // requested widths are what the bench asked for; effective widths
-    // are what actually ran — the gated join entry clamps the request
-    // to the host cores unless `CA_PART_THREADS` forces a width (the
-    // certain-answer sweep caps at the completion count but not at host
-    // cores). par == seq on a 1-core host is parity, not regression —
-    // the footer makes that attributable.
-    let join_effective = ca_core::config::part_threads_set()
-        .unwrap_or_else(|| PART_WIDTH.min(ca_core::config::available_parallelism_or(1)))
-        .max(1);
+    // Thread accounting: `host_cores` is the default width; both
+    // entries honour the requested widths verbatim (the certain-answer
+    // sweep caps at the completion count), so requested == effective.
+    // par == seq on a 1-core host is parity, not regression — the footer
+    // makes that attributable.
     let json = format!(
         "{{\n  \"bench\": \"query_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"threads_default\": {},\n  \"threads_requested\": {{\"join_par\": {}, \"certain_par\": {}}},\n  \"threads_effective\": {{\"join_par\": {}, \"certain_par\": {}}},\n  \"results\": [\n{}\n  ]\n}}\n",
         ca_bench::report::git_rev(),
         ca_bench::report::host_cores(),
-        engine::eval_threads(),
+        ca_core::exec::width(),
         PART_WIDTH,
         par_threads,
-        join_effective,
+        PART_WIDTH,
         par_threads,
         json_rows.join(",\n")
     );

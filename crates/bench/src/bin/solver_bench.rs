@@ -403,8 +403,8 @@ fn main() {
     report.note("wall times are per repetition; node counts differ between kernels (the new kernel adds root propagation and degree tie-breaking)");
     println!("{report}");
 
-    // `SolverConfig::parallel()` requests `default_threads()` and the
-    // search spawns exactly that many workers (no host clamp), so
+    // `SolverConfig::parallel()` requests `exec::width()` and the search
+    // honours it verbatim, so
     // requested == effective; on a 1-core host both are 1 and the par
     // column is an honest parity row.
     let par_threads = ca_hom::csp::SolverConfig::parallel().threads;
@@ -412,7 +412,7 @@ fn main() {
         "{{\n  \"bench\": \"solver_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"threads_default\": {},\n  \"threads_requested\": {},\n  \"threads_effective\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         ca_bench::report::git_rev(),
         ca_bench::report::host_cores(),
-        ca_hom::csp::default_threads(),
+        ca_core::exec::width(),
         par_threads,
         par_threads,
         json_rows.join(",\n")

@@ -205,7 +205,7 @@ fn gen(n_str: &str, out_path: &str, rest: &[String]) -> ExitCode {
         eprintln!("store_snapshot: generated {n} fact(s) into {out_path} (csv, seed {seed:#x})");
         return ExitCode::SUCCESS;
     }
-    let threads = ca_core::config::part_threads();
+    let threads = ca_core::exec::width();
     let store = match ca_core::store::ingest::load_bytes(text.as_bytes(), threads) {
         Ok(s) => s,
         Err(e) => return fail("generated csv", e),

@@ -94,12 +94,13 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// The machine's physical parallelism, for stamping `BENCH_*.json`
-/// emissions: a `par == seq` parity row is only attributable when the
-/// reader can see how many cores the run actually had (`threads_default:
-/// 1` on a 1-core host is parity, not a regression).
+/// The default fan-out width ([`ca_core::exec::width`]: the machine's
+/// available parallelism unless `CA_THREADS` overrides it), for stamping
+/// `BENCH_*.json` emissions: a `par == seq` parity row is only
+/// attributable when the reader can see how many cores the run had (1
+/// on a 1-core host is parity, not a regression).
 pub fn host_cores() -> usize {
-    ca_core::config::available_parallelism_or(1)
+    ca_core::exec::width()
 }
 
 #[cfg(test)]

@@ -1,179 +1,12 @@
-//! Runtime configuration: the `CA_*` environment knobs, parsed in one place.
+//! Retired width knobs.
 //!
-//! Both parallel kernels (the ca-hom CSP split and the ca-query completion
-//! sweep) take their worker count from an environment variable. Before this
-//! module each kernel parsed its own variable with subtly different rules
-//! (the sweep fell back to one thread on a malformed value, the solver fell
-//! back to the machine width), so the same typo behaved differently per
-//! kernel. [`threads_from`] defines the single policy:
-//!
-//! * **set and numeric** — saturating parse: `"0"` is clamped up to 1 (a
-//!   zero-thread sweep cannot run), values too large for `usize` clamp to
-//!   `usize::MAX` instead of being treated as typos;
-//! * **set but malformed** (empty, signs, non-digits) — the *explicit
-//!   fallback* is used, never a silent `1`;
-//! * **unset** — the fallback.
-//!
-//! The fallback is the caller's default-width policy: available parallelism
-//! for the sweep ([`eval_threads`]), available parallelism capped at 16 for
-//! the solver pool ([`hom_threads`]).
-//!
-//! Every `CA_*` variable read through this module must be documented in
-//! `DESIGN.md`; the in-tree linter (`ca-lint`, rules L003/L005) enforces
-//! both the documentation and that no other module reads `CA_*` variables
-//! or spawns threads outside the two sanctioned kernels.
+//! The three per-kernel width variables are gone: every fan-out takes
+//! its default width from [`crate::exec::width`] (`CA_THREADS`), and an
+//! explicit width is honoured verbatim.
 
-/// The ca-query completion-sweep worker count variable.
-pub const EVAL_THREADS_VAR: &str = "CA_EVAL_THREADS";
-
-/// The ca-hom CSP solver pool-width variable.
-pub const HOM_THREADS_VAR: &str = "CA_HOM_THREADS";
-
-/// The partitioned-join / bulk-ingest worker count variable.
-pub const PART_THREADS_VAR: &str = "CA_PART_THREADS";
-
-/// Saturating thread-count parse: `Some(n.max(1))` for all-digit input
-/// (clamping overflow to `usize::MAX`), `None` for anything else.
-fn parse_threads(raw: &str) -> Option<usize> {
-    let digits = raw.trim();
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    // All-digit input can only fail to parse by overflow: saturate.
-    Some(digits.parse::<usize>().unwrap_or(usize::MAX).max(1))
-}
-
-/// Thread count from the environment variable `var`, falling back to
-/// `fallback()` when the variable is unset *or malformed*. Always ≥ 1.
-pub fn threads_from(var: &str, fallback: impl FnOnce() -> usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .as_deref()
-        .and_then(parse_threads)
-        .unwrap_or_else(|| fallback().max(1))
-}
-
-/// The machine's available parallelism, or `default` when unknown.
-///
-/// `std::thread::available_parallelism` is a syscall on every call and
-/// is not cached by std; the sweep drivers consult it per sweep, which
-/// for microsecond-scale grids (the Theorem 7(b) image enumeration) is
-/// measurable overhead. The width cannot change within a process, so it
-/// is read once. (`CA_*` variables are deliberately *not* cached — the
-/// documented semantics is that they are re-read per call.)
-pub fn available_parallelism_or(default: usize) -> usize {
-    use std::sync::OnceLock;
-    static WIDTH: OnceLock<Option<usize>> = OnceLock::new();
-    WIDTH
-        .get_or_init(|| std::thread::available_parallelism().ok().map(usize::from))
-        .unwrap_or(default)
-}
-
-/// Sweep worker count: `CA_EVAL_THREADS`, else available parallelism.
-pub fn eval_threads() -> usize {
-    threads_from(EVAL_THREADS_VAR, || available_parallelism_or(1))
-}
-
-/// Solver pool width: `CA_HOM_THREADS`, else available parallelism capped
-/// at 16 (wider pools stop paying off on the CSP split).
-pub fn hom_threads() -> usize {
-    threads_from(HOM_THREADS_VAR, || available_parallelism_or(1).min(16))
-}
-
-/// Upper bound on the partitioned-execution width. Unlike the sweep and
-/// solver widths (which only size work chunks), the partition width is
-/// honored *verbatim* — one spawned worker and one answer buffer per
-/// partition — so a typo'd huge `CA_PART_THREADS` would otherwise abort
-/// on allocation or thread-spawn failure instead of degrading. The cap
-/// is far above any host width (determinism sweeps deliberately run
-/// wider than the machine) while keeping per-partition state bounded.
-pub const PART_THREADS_MAX: usize = 4096;
-
-/// Partitioned-join and bulk-ingest worker count: `CA_PART_THREADS`,
-/// else available parallelism, clamped to [`PART_THREADS_MAX`].
-/// Consumed by the morsel-driven partition evaluator
-/// (`ca_query::engine::par`) and the streaming bulk loader
-/// (`ca_core::store::ingest`); both are byte-identical at every width,
-/// so this knob only moves wall time.
-pub fn part_threads() -> usize {
-    threads_from(PART_THREADS_VAR, || available_parallelism_or(1)).min(PART_THREADS_MAX)
-}
-
-/// Like [`part_threads`], but `None` when `CA_PART_THREADS` is unset or
-/// malformed. For callers that treat an explicitly requested width
-/// differently from the default: the chase match phase clamps its
-/// default width to the physical cores (oversubscription is pure
-/// overhead) but honors an explicit width verbatim, which is how the
-/// determinism suites pin byte-identical results at widths wider than
-/// the host. Clamped to [`PART_THREADS_MAX`] like [`part_threads`].
+/// Always `None`: no knob overrides an explicit width any more. Kept
+/// only because the pipeline benchmark's reproducibility footer still
+/// calls it; it goes with the next change to that benchmark.
 pub fn part_threads_set() -> Option<usize> {
-    std::env::var(PART_THREADS_VAR)
-        .ok()
-        .as_deref()
-        .and_then(parse_threads)
-        .map(|n| n.min(PART_THREADS_MAX))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_is_saturating() {
-        assert_eq!(parse_threads("4"), Some(4));
-        assert_eq!(parse_threads(" 8 "), Some(8));
-        assert_eq!(parse_threads("0"), Some(1), "zero saturates up to one");
-        assert_eq!(
-            parse_threads("999999999999999999999999999999"),
-            Some(usize::MAX),
-            "overflow saturates instead of falling back"
-        );
-        assert_eq!(parse_threads("abc"), None);
-        assert_eq!(parse_threads(""), None);
-        assert_eq!(parse_threads("-2"), None);
-        assert_eq!(parse_threads("3.5"), None);
-    }
-
-    // Each test uses its own variable name: tests run concurrently in one
-    // process and share the environment.
-    #[test]
-    fn unset_uses_fallback() {
-        assert_eq!(threads_from("CA_TEST_CFG_UNSET", || 7), 7);
-    }
-
-    #[test]
-    fn zero_saturates_to_one() {
-        std::env::set_var("CA_TEST_CFG_ZERO", "0");
-        assert_eq!(threads_from("CA_TEST_CFG_ZERO", || 7), 1);
-    }
-
-    #[test]
-    fn malformed_uses_fallback_not_one() {
-        std::env::set_var("CA_TEST_CFG_BAD", "abc");
-        assert_eq!(threads_from("CA_TEST_CFG_BAD", || 7), 7);
-    }
-
-    #[test]
-    fn set_value_wins_over_fallback() {
-        std::env::set_var("CA_TEST_CFG_SET", "3");
-        assert_eq!(threads_from("CA_TEST_CFG_SET", || 7), 3);
-    }
-
-    #[test]
-    fn fallback_is_clamped_to_one() {
-        assert_eq!(threads_from("CA_TEST_CFG_CLAMP", || 0), 1);
-    }
-
-    #[test]
-    fn part_width_is_capped_not_verbatim() {
-        // A typo'd huge width degrades to the cap instead of aborting on
-        // per-partition allocation; widths under the cap pass through.
-        std::env::set_var(PART_THREADS_VAR, "999999999999999999999999999999");
-        assert_eq!(part_threads(), PART_THREADS_MAX);
-        assert_eq!(part_threads_set(), Some(PART_THREADS_MAX));
-        std::env::set_var(PART_THREADS_VAR, "7");
-        assert_eq!(part_threads(), 7);
-        assert_eq!(part_threads_set(), Some(7));
-        std::env::remove_var(PART_THREADS_VAR);
-    }
+    None
 }

@@ -20,8 +20,9 @@
 //!   the retraction `π_cpl`, certain answers over complete objects, the
 //!   complete-saturation property, and the Theorem 2 criterion for when
 //!   certain answers are computed by naïve evaluation.
-//! * [`config`] — the `CA_*` environment knobs (thread widths for the
-//!   parallel kernels), parsed once with a single saturating policy.
+//! * [`exec`] — the one parallel fan-out primitive ([`exec::map`]) and
+//!   its one width knob, `CA_THREADS` ([`exec::width`]).
+//! * [`config`] — a stub left where the retired per-kernel knobs were.
 //! * [`fxhash`] — the fixed-seed Fx hasher backing the store's hot maps
 //!   (trusted in-process keys; deterministic across runs and hosts).
 //! * [`store`] — the workspace-wide columnar interned fact store all
@@ -36,6 +37,7 @@
 pub mod complete;
 pub mod config;
 pub mod domain;
+pub mod exec;
 pub mod fxhash;
 pub mod powerdomain;
 pub mod preorder;

@@ -1,31 +1,23 @@
-//! Streaming bulk ingest: CSV and snapshot loading through a bounded
-//! multi-worker pipeline.
+//! Bulk ingest: CSV and snapshot loading in parallel parse waves.
 //!
 //! The serial load path interned and appended one fact at a time; at
-//! 10⁶–10⁷ facts the per-fact bookkeeping dominates. This module feeds
-//! the columnar store through the parallel-copy shape of elefant-tools:
+//! 10⁶–10⁷ facts the per-fact bookkeeping dominates. This module splits
+//! the work into a parallel parse and a sequential apply:
 //!
-//! ```text
-//! reader ──raw batches──▶ parse workers ──parsed batches──▶ appender
-//!   (1)      bounded           (W)            bounded          (1)
-//! ```
-//!
-//! * the **reader** packs input lines into fixed-size batches, each
-//!   stamped with a sequence number and its first line number;
-//! * **parse workers** (width from the caller, typically
-//!   [`crate::config::part_threads`]) turn each batch into relation
-//!   *runs* — maximal stretches of consecutive same-relation rows with
-//!   the values decoded — in any order, racing freely;
-//! * the single **appender** applies parsed batches **strictly in
-//!   sequence order** (a reorder buffer holds early arrivals), interning
-//!   values and bulk-appending each run via
+//! * the loader packs input lines into fixed-size batches, each stamped
+//!   with its first line number, and reads them in **waves** of up to
+//!   `threads` batches;
+//! * each wave is parsed through [`crate::exec::map`] — one task per
+//!   batch — into relation *runs*: maximal stretches of consecutive
+//!   same-relation rows with the values decoded;
+//! * the loader then applies the wave's parsed batches **in sequence
+//!   order**, interning values and bulk-appending each run via
 //!   [`FactStore::extend_ids`].
 //!
-//! Interning and fact-id assignment happen only in the appender, so the
-//! loaded store — fact ids, interner order, snapshot bytes — is
-//! **byte-identical at every worker count**, including the sequential
-//! fallback (`threads <= 1`), which runs the same batch/parse/apply code
-//! without spawning anything.
+//! Interning and fact-id assignment happen only in the in-order apply,
+//! so the loaded store — fact ids, interner order, snapshot bytes — is
+//! **byte-identical at every worker count**, including `threads <= 1`,
+//! which holds one batch at a time and spawns nothing.
 //!
 //! Malformed input surfaces as a typed [`IngestError`] — never a panic
 //! (the same untrusted-input discipline ca-lint L008 enforces on the
@@ -41,17 +33,15 @@
 //! target store already declares it; later rows of different width are
 //! [`IngestError::BadArity`] — a truncated row cannot slip in silently.
 
-use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Mutex;
 
+use crate::exec;
 use crate::value::Value;
 
 use super::{dense_count, FactStore, SnapshotError, ValueId, SNAPSHOT_MAGIC};
 
-/// Lines per pipeline batch: large enough to amortize channel traffic,
-/// small enough that the reorder buffer stays a few MB at width 8.
+/// Lines per batch: large enough to amortize the per-task overhead,
+/// small enough that a wave stays a few MB at width 8.
 const BATCH_LINES: usize = 8192;
 
 /// Why an input stream is not loadable. Every variant carries the
@@ -111,9 +101,8 @@ impl std::fmt::Display for IngestError {
 impl std::error::Error for IngestError {}
 
 /// A raw batch: contiguous line bytes plus their spans, stamped with the
-/// batch sequence number and the 1-based line number of its first line.
+/// 1-based line number of its first line.
 struct RawBatch {
-    seq: u64,
     first_line: u64,
     buf: Vec<u8>,
     /// `(start, end)` byte spans of each line within `buf` (no `\n`).
@@ -224,7 +213,6 @@ fn apply_runs(
 /// Read the next batch of lines. `Ok(None)` at end of input.
 fn read_batch(
     reader: &mut impl BufRead,
-    seq: u64,
     next_line: &mut u64,
 ) -> Result<Option<RawBatch>, IngestError> {
     let mut buf: Vec<u8> = Vec::with_capacity(BATCH_LINES * 16);
@@ -249,7 +237,6 @@ fn read_batch(
         return Ok(None);
     }
     Ok(Some(RawBatch {
-        seq,
         first_line,
         buf,
         spans,
@@ -258,129 +245,46 @@ fn read_batch(
 
 /// Load CSV facts from `input` into `store` with `threads` parse
 /// workers, returning the number of facts appended. Byte-identical
-/// output at every width; `threads <= 1` runs the same code without
-/// spawning. On error the store may hold a prefix of the input (every
-/// line before the earliest offending one).
+/// output at every width; `threads <= 1` parses one batch at a time on
+/// the calling thread. On error the store may hold a prefix of the input
+/// (lines before the earliest offending one).
 pub fn load_csv(
-    input: impl Read + Send,
+    input: impl Read,
     store: &mut FactStore,
     threads: usize,
 ) -> Result<u64, IngestError> {
     let mut reader = BufReader::new(input);
     let mut ids_scratch: Vec<ValueId> = Vec::new();
-    if threads <= 1 {
-        let mut appended = 0u64;
-        let mut next_line = 1u64;
-        let mut seq = 0u64;
-        while let Some(raw) = read_batch(&mut reader, seq, &mut next_line)? {
-            seq += 1;
-            appended += apply_runs(store, &parse_batch(&raw)?, &mut ids_scratch)?;
-        }
-        return Ok(appended);
-    }
-    type Parsed = (u64, Result<Vec<Run>, IngestError>);
-    let depth = threads.saturating_mul(2);
-    let (raw_tx, raw_rx) = sync_channel::<Result<RawBatch, IngestError>>(depth);
-    let (parsed_tx, parsed_rx): (SyncSender<Parsed>, Receiver<Parsed>) = sync_channel(depth);
-    let raw_rx = Mutex::new(raw_rx);
-    let abort = std::sync::atomic::AtomicBool::new(false);
-    let per_batch: Result<Vec<u64>, IngestError> = std::thread::scope(|scope| {
-        // Reader: pack lines into sequence-stamped batches. The closure
-        // must *own* `raw_tx` (hence `move` + reborrowed references for
-        // everything shared): the workers run until the raw channel
-        // closes, and the channel closes only when this thread returns
-        // and drops its sender — a borrowed sender would live to the end
-        // of the scope and deadlock the join.
-        let reader = &mut reader;
-        let abort_flag = &abort;
-        scope.spawn(move || {
-            let mut next_line = 1u64;
-            let mut seq = 0u64;
-            loop {
-                if abort_flag.load(std::sync::atomic::Ordering::Relaxed) {
-                    return;
-                }
-                match read_batch(reader, seq, &mut next_line) {
-                    Ok(Some(raw)) => {
-                        if raw_tx.send(Ok(raw)).is_err() {
-                            return;
-                        }
-                        seq += 1;
-                    }
-                    Ok(None) => return, // dropping raw_tx ends the workers
-                    Err(e) => {
-                        let _ = raw_tx.send(Err(e));
-                        return;
-                    }
-                }
+    let mut next_line = 1u64;
+    let mut appended = 0u64;
+    loop {
+        // One wave: up to `threads` batches, ended early by the end of
+        // the input or a read error (reported after the batches before it).
+        let mut raws: Vec<RawBatch> = Vec::new();
+        let mut end: Option<Result<(), IngestError>> = None;
+        while end.is_none() && raws.len() < threads.max(1) {
+            match read_batch(&mut reader, &mut next_line) {
+                Ok(Some(raw)) => raws.push(raw),
+                Ok(None) => end = Some(Ok(())),
+                Err(e) => end = Some(Err(e)),
             }
+        }
+        // A parse error cuts the later batches of the wave: they could
+        // never be applied.
+        let parsed = exec::map(raws.len(), threads, |i, stop| {
+            let runs = parse_batch(&raws[i]);
+            if runs.is_err() {
+                stop.keep_below(i + 1);
+            }
+            Some(runs)
         });
-        // Parse workers: race over raw batches, forward results.
-        for _ in 0..threads {
-            let parsed_tx = parsed_tx.clone();
-            let raw_rx = &raw_rx;
-            scope.spawn(move || loop {
-                let msg = {
-                    let Ok(guard) = raw_rx.lock() else { return };
-                    guard.recv()
-                };
-                let Ok(raw) = msg else { return };
-                let (seq, parsed) = match raw {
-                    Ok(raw) => (raw.seq, parse_batch(&raw)),
-                    Err(e) => (u64::MAX, Err(e)),
-                };
-                if parsed_tx.send((seq, parsed)).is_err() {
-                    return;
-                }
-            });
+        for runs in parsed.into_iter().flatten() {
+            appended += apply_runs(store, &runs?, &mut ids_scratch)?;
         }
-        drop(parsed_tx);
-        // Appender (this thread): strict sequence order via a reorder
-        // buffer; count per batch, summed below — the deterministic
-        // merge of the per-worker results.
-        let mut pending: BTreeMap<u64, Result<Vec<Run>, IngestError>> = BTreeMap::new();
-        let mut next_seq = 0u64;
-        let mut counts: Vec<u64> = Vec::new();
-        let mut failure: Option<IngestError> = None;
-        while let Ok((seq, parsed)) = parsed_rx.recv() {
-            pending.insert(seq, parsed);
-            while let Some(parsed) = pending.remove(&next_seq) {
-                next_seq += 1;
-                if failure.is_some() {
-                    // An earlier batch already failed: later in-order
-                    // batches are drained but never applied (the store
-                    // holds exactly the prefix before the error) and
-                    // never overwrite the earliest-line error.
-                    continue;
-                }
-                match parsed.and_then(|runs| apply_runs(store, &runs, &mut ids_scratch)) {
-                    Ok(n) => counts.push(n),
-                    Err(e) => {
-                        failure = Some(e);
-                        abort.store(true, std::sync::atomic::Ordering::Relaxed);
-                    }
-                }
-            }
-            if failure.is_some() {
-                // Keep draining so the workers' bounded sends unblock,
-                // but apply nothing further.
-                pending.clear();
-            }
+        if let Some(end) = end {
+            return end.map(|()| appended);
         }
-        // An Io error is stamped u64::MAX and would wait in `pending`
-        // forever; surface it once every in-order batch is applied.
-        if failure.is_none() {
-            if let Some(e) = pending.remove(&u64::MAX).and_then(Result::err) {
-                failure = Some(e);
-            }
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(counts),
-        }
-    });
-    let appended: u64 = per_batch?.iter().sum();
-    Ok(appended)
+    }
 }
 
 /// Load CSV from an in-memory buffer. See [`load_csv`].
@@ -529,7 +433,7 @@ S,?2
     #[test]
     fn earliest_error_wins_across_batches() {
         // Two errors in different batches: the one on the earlier line is
-        // reported at every width (the appender applies in order).
+        // reported at every width (batches apply in order).
         let mut csv = String::new();
         for i in 0..BATCH_LINES as i64 {
             csv.push_str(&format!("E,{i},{i}\n"));
@@ -554,10 +458,10 @@ S,?2
 
     #[test]
     fn error_in_first_batch_wins_and_freezes_the_prefix() {
-        // The adversarial schedule for the appender: batch 0 fails on its
+        // The adversarial schedule for the apply: batch 0 fails on its
         // very first line, while batches 1 and 2 (batch 2 also malformed,
         // on a later line) are already parsed and waiting in order. The
-        // appender must report line 1, not a later batch's error, and
+        // loader must report line 1, not a later batch's error, and
         // must not append any facts past the failure point — regardless
         // of worker scheduling.
         let mut csv = String::from("E,oops,1\n"); // line 1, batch 0

@@ -30,13 +30,12 @@
 //!   only the facts that mention a merged null, via a null-occurrence
 //!   index — never the whole instance;
 //! * the match phase runs in parallel over the round's (rule, pinned
-//!   plan) tasks ([`sweep::parallel_map`], under `CA_EVAL_THREADS`, with
-//!   an explicit `CA_PART_THREADS` width winning; the default width is
-//!   clamped to the physical cores, and the phase stays sequential
-//!   unless the cost model prices the round's seeded joins above the
-//!   spawn/merge overhead); large seed lists are hash-partitioned on the
-//!   pinned atom's leading bound column (`ca_core::store::partition`) so
-//!   rows sharing a join key stay on one worker, and
+//!   plan) tasks ([`exec::map`] at `ChaseConfig::threads`, honoured
+//!   verbatim; the phase stays sequential unless the cost model prices
+//!   the round's seeded joins above the spawn/merge overhead); large
+//!   seed lists are hash-partitioned on the pinned atom's leading bound
+//!   column (`ca_core::store::partition`) so rows sharing a join key
+//!   stay on one worker, and
 //!   firing applies the collected triggers in (rule index, frontier
 //!   valuation) order — lowest trigger wins — with fresh existential
 //!   nulls drawn in that same order, so the chased instance is
@@ -58,6 +57,7 @@ use std::sync::Arc;
 use ca_cert::{
     CertAtom, CertEgd, CertFact, CertRule, CertTerm, ChaseCert, ChaseCertOutcome, ChaseStep,
 };
+use ca_core::exec;
 use ca_core::fxhash::{FxHashMap, FxHashSet};
 use ca_core::store::{partition, FactId, FactStore};
 use ca_core::symbol::Symbol;
@@ -65,8 +65,8 @@ use ca_core::value::{Null, NullGen, Value};
 use ca_gdm::database::GenDb;
 use ca_query::ast::{Atom, ConjunctiveQuery, Term, UnionQuery};
 use ca_query::engine::{
-    eval_prepared_into, eval_seeded_into, prepare_cq, sweep, CompiledCq, CompiledUcq, DbIndex,
-    PlanCache, PreparedCq, PART_MIN_WORK,
+    eval_prepared_into, eval_seeded_into, prepare_cq, CompiledCq, CompiledUcq, DbIndex, PlanCache,
+    PreparedCq, PART_MIN_WORK,
 };
 use ca_relational::schema::Schema;
 
@@ -884,22 +884,12 @@ fn sole(plan: &CompiledUcq) -> &CompiledCq {
 const PAR_MIN_SEED: usize = 512;
 
 fn effective_threads(threads: usize, total_seed: usize, est_work: f64) -> usize {
-    // An explicit `CA_PART_THREADS` width overrides the config width and
-    // is honored **verbatim**, exactly like the partitioned join in
-    // `ca_query::engine::par` — the partition determinism suite pins
-    // byte-identical results at widths wider than the host, so an
-    // explicit width beyond the physical cores costs only wall time,
-    // never correctness. The *default* width, by contrast, is clamped to
-    // the cores actually present: a four-wide default on a one-core host
-    // is pure coordination overhead.
-    let threads = match ca_core::config::part_threads_set() {
-        Some(w) => w,
-        None => threads.min(ca_core::config::available_parallelism_or(1)),
-    };
-    // Two gates, both advisory (results are width-independent): enough
-    // seed facts to split, and enough *estimated join work* — a round
-    // seeding thousands of single-atom bodies has nothing to probe, and
-    // the thread-scope spawn would dominate it.
+    // The configured width is honoured verbatim (the determinism suite
+    // pins widths wider than the host). Two gates, both advisory (results
+    // are width-independent): enough seed facts to split, and enough
+    // *estimated join work* — a round seeding thousands of single-atom
+    // bodies has nothing to probe, and the thread-scope spawn would
+    // dominate it.
     if threads <= 1 || total_seed < PAR_MIN_SEED || est_work < PART_MIN_WORK {
         1
     } else {
@@ -1010,35 +1000,34 @@ fn egd_matches(
     );
     let limit = cfg.match_limit;
     let idx = &*idx;
-    let results: Vec<(BTreeSet<(Value, Value)>, bool)> =
-        sweep::parallel_map(tasks.len(), threads, |t| {
-            let MatchTask {
-                rule: e,
-                pin: p,
-                rows,
-            } = &tasks[t];
-            let (plan, prepared) = &plans[&(*e, *p)];
-            let plan = sole(plan);
-            let mut set: BTreeSet<(Value, Value)> = BTreeSet::new();
-            let mut over = false;
-            eval_seeded_into(plan, prepared, idx, rows, &mut |row| {
-                if let [a, b] = row {
-                    // Insert straight away (dedup is free for Copy
-                    // pairs); only a full set needs the existence
-                    // check to tell "duplicate" from "over budget".
-                    if set.len() == limit {
-                        if set.contains(&(*a, *b)) {
-                            return true;
-                        }
-                        over = true;
-                        return false;
+    let results: Vec<(BTreeSet<(Value, Value)>, bool)> = exec::map(tasks.len(), threads, |t, _| {
+        let MatchTask {
+            rule: e,
+            pin: p,
+            rows,
+        } = &tasks[t];
+        let (plan, prepared) = &plans[&(*e, *p)];
+        let plan = sole(plan);
+        let mut set: BTreeSet<(Value, Value)> = BTreeSet::new();
+        let mut over = false;
+        eval_seeded_into(plan, prepared, idx, rows, &mut |row| {
+            if let [a, b] = row {
+                // Insert straight away (dedup is free for Copy
+                // pairs); only a full set needs the existence
+                // check to tell "duplicate" from "over budget".
+                if set.len() == limit {
+                    if set.contains(&(*a, *b)) {
+                        return true;
                     }
-                    set.insert((*a, *b));
+                    over = true;
+                    return false;
                 }
-                true
-            });
-            (set, over)
+                set.insert((*a, *b));
+            }
+            true
         });
+        (set, over)
+    });
     let mut pairs = BTreeSet::new();
     for (set, over) in results {
         if over {
@@ -1109,7 +1098,7 @@ fn tgd_matches(
     );
     let limit = cfg.match_limit;
     let shared = &*idx;
-    let results: Vec<(TriggerSet, bool)> = sweep::parallel_map(tasks.len(), threads, |t| {
+    let results: Vec<(TriggerSet, bool)> = exec::map(tasks.len(), threads, |t, _| {
         let MatchTask {
             rule: r,
             pin: p,
@@ -1168,7 +1157,7 @@ fn tgd_matches(
         })
         .collect();
     let shared = &*idx;
-    let head_results: Vec<(TriggerSet, bool)> = sweep::parallel_map(needy.len(), threads, |i| {
+    let head_results: Vec<(TriggerSet, bool)> = exec::map(needy.len(), threads, |i, _| {
         let (plan, prepared) = &head_plans[i];
         let mut set = BTreeSet::new();
         let mut over = false;

@@ -97,12 +97,12 @@ pub struct ChaseConfig {
 
 impl ChaseConfig {
     /// Defaults: the given step budget, [`DEFAULT_MATCH_LIMIT`], the
-    /// `CA_EVAL_THREADS` thread count, and no certification.
+    /// default width ([`ca_core::exec::width`]), and no certification.
     pub fn new(max_steps: usize) -> Self {
         ChaseConfig {
             max_steps,
             match_limit: DEFAULT_MATCH_LIMIT,
-            threads: ca_query::engine::eval_threads(),
+            threads: ca_core::exec::width(),
             certify: false,
         }
     }

@@ -6,10 +6,11 @@
 //! representative of `∨ M(D)`, and the most compact representative of the
 //! equivalence class is its core, the *core solution*.
 
+use ca_core::exec;
 use ca_gdm::database::GenDb;
 use ca_gdm::encode::{self_hom_structure, value_self_hom_structure};
 use ca_gdm::hom::{gdm_hom_csp, gdm_leq};
-use ca_hom::csp::{default_threads, IncrementalSelfHom};
+use ca_hom::csp::IncrementalSelfHom;
 use ca_hom::retract::retract_core_with;
 
 use crate::mapping::Mapping;
@@ -41,7 +42,7 @@ pub fn canonical_solution(
 /// loop survives verbatim in [`crate::reference`] as the differential
 /// oracle.
 pub fn core_of_gendb(d: &GenDb) -> GenDb {
-    core_of_gendb_with(d, default_threads())
+    core_of_gendb_with(d, exec::width())
 }
 
 /// [`core_of_gendb`] with an explicit probe-thread count. The kept node

@@ -16,6 +16,7 @@
 
 use std::collections::BTreeSet;
 
+use ca_core::exec;
 use ca_core::value::{Null, Value};
 use ca_query::engine::sweep;
 
@@ -159,8 +160,8 @@ fn for_each_quotient<F: FnMut(&GenDb) -> bool>(db: &GenDb, visit: &mut F) -> boo
 /// exactly by image enumeration. `certain(φ, D) = true` iff *every*
 /// grounded homomorphic image of `D` satisfies `φ`.
 ///
-/// The grounding grid is swept in parallel through `ca_query`'s sweep
-/// driver (`CA_EVAL_THREADS` workers, early exit on the first
+/// The grounding grid is swept in parallel through `ca_query`'s
+/// completion sweep (`CA_THREADS` workers, early exit on the first
 /// counterexample image); each worker enumerates the node quotients of
 /// its groundings sequentially. The result is independent of the thread
 /// count.
@@ -174,7 +175,7 @@ pub fn certain_existential(phi: &GFo, db: &GenDb) -> bool {
         "certain_existential requires an existential sentence"
     );
     let space = GroundingSpace::new(db);
-    sweep::parallel_all(space.len(), sweep::eval_threads(), |i| {
+    sweep::parallel_all(space.len(), exec::width(), |i| {
         let grounded = space.grounding(i);
         let mut holds_everywhere = true;
         for_each_quotient(&grounded, &mut |image: &GenDb| {

@@ -16,7 +16,7 @@
 //! recompiles of the seed implementation (kept in [`crate::reference`]
 //! as the differential oracle).
 
-use ca_hom::csp::default_threads;
+use ca_core::exec;
 use ca_hom::retract::retract_core_with;
 
 use crate::digraph::Digraph;
@@ -27,7 +27,7 @@ use crate::digraph::Digraph;
 /// induced subgraph: `g` is a core iff the retraction engine keeps every
 /// vertex.
 pub fn is_core(g: &Digraph) -> bool {
-    is_core_with(g, default_threads())
+    is_core_with(g, exec::width())
 }
 
 /// [`is_core`] with an explicit probe-thread count (deterministic at
@@ -44,7 +44,7 @@ pub fn is_core_with(g: &Digraph, threads: usize) -> bool {
 /// isomorphism). Returns the core together with the list of original
 /// vertices retained, ascending.
 pub fn core_of(g: &Digraph) -> (Digraph, Vec<u32>) {
-    core_of_with(g, default_threads())
+    core_of_with(g, exec::width())
 }
 
 /// [`core_of`] with an explicit probe-thread count. The kept vertex set

@@ -34,11 +34,11 @@
 //!   before search, which decides many of the paper's near-unsatisfiable
 //!   families outright.
 //! * **Parallel search.** [`Csp::solve`], [`Csp::solve_all`] and
-//!   [`Csp::count_solutions`] can split the root variable's values across a
-//!   `std::thread::scope` pool (the build environment has no `rayon`), with
-//!   early cancellation for satisfiability. With `threads == 1` the search
-//!   is fully deterministic; parallel `count_solutions` is deterministic
-//!   too (subtree counts are order-independent), and parallel `solve_all`
+//!   [`Csp::count_solutions`] can split the root variable's values into
+//!   one [`ca_core::exec::map`] task each, with early cancellation for
+//!   satisfiability. With `threads == 1` the search is fully
+//!   deterministic; parallel `count_solutions` is deterministic too
+//!   (subtree counts are order-independent), and parallel `solve_all`
 //!   returns the same solution set unless it truncates at `limit`.
 //!
 //! The problem stays NP-complete; the point is that the paper's reduction
@@ -46,8 +46,9 @@
 //! instances) now run orders of magnitude faster — see
 //! `crates/bench/src/bin/solver_bench.rs` for measured numbers.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use ca_core::exec::{self, Stop};
 
 /// A table constraint: the values of `scope` must form a tuple in `allowed`.
 #[derive(Clone, Debug)]
@@ -121,10 +122,10 @@ impl SolverConfig {
         SolverConfig { threads: 1 }
     }
 
-    /// Parallel search with the default pool width.
+    /// Parallel search at the default width ([`exec::width`]).
     pub fn parallel() -> Self {
         SolverConfig {
-            threads: default_threads(),
+            threads: exec::width(),
         }
     }
 }
@@ -133,14 +134,6 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig::parallel()
     }
-}
-
-/// Pool width used by [`SolverConfig::parallel`]: `CA_HOM_THREADS` if set,
-/// otherwise the machine's available parallelism capped at 16 (parsed by
-/// the shared [`ca_core::config`] policy: saturating, explicit fallback on
-/// malformed values).
-pub fn default_threads() -> usize {
-    ca_core::config::hom_threads()
 }
 
 /// Below these sizes the convenience methods stay sequential: spawning a
@@ -725,20 +718,21 @@ struct Search<'a> {
     scratch: Vec<u64>,
     /// Reusable per-depth buffers for value snapshots.
     depth_bufs: Vec<Vec<u32>>,
-    /// Cooperative cancellation for the parallel driver.
-    stop: Option<&'a AtomicBool>,
+    /// Cooperative cancellation for the parallel split: the fan-out's
+    /// cut and this search's task index.
+    stop: Option<(&'a Stop, usize)>,
     stats: SolverStats,
 }
 
 impl<'a> Search<'a> {
-    fn new(c: &'a Compiled, stop: Option<&'a AtomicBool>) -> Self {
+    fn new(c: &'a Compiled, stop: Option<(&'a Stop, usize)>) -> Self {
         Search::from_domains(c, c.root.clone(), stop)
     }
 
     /// A search starting from an explicit live-domain buffer instead of
     /// the compiled root (the retraction engine's per-probe restriction).
     /// The caller guarantees every domain in `live` is non-empty.
-    fn from_domains(c: &'a Compiled, live: Vec<u64>, stop: Option<&'a AtomicBool>) -> Self {
+    fn from_domains(c: &'a Compiled, live: Vec<u64>, stop: Option<(&'a Stop, usize)>) -> Self {
         let counts: Vec<u32> = (0..c.n_vars)
             .map(|v| {
                 live[v * c.n_words..(v + 1) * c.n_words]
@@ -942,8 +936,8 @@ impl<'a> Search<'a> {
     }
 
     fn backtrack(&mut self, depth: usize, on_solution: &mut dyn FnMut(&[u32]) -> bool) -> bool {
-        if let Some(stop) = self.stop {
-            if stop.load(Ordering::Relaxed) {
+        if let Some((stop, task)) = self.stop {
+            if stop.cancelled(task) {
                 return false;
             }
         }
@@ -970,92 +964,53 @@ impl<'a> Search<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel drivers: split the root variable's values across a thread pool.
+// Parallel search: one fan-out task per root value.
 // ---------------------------------------------------------------------------
 
-/// Run `work(branch_index, value, search)` over all branch values on
-/// `threads` workers, each with its own `Search`.
-fn par_branches<F>(compiled: &Compiled, threads: usize, values: &[u32], stop: &AtomicBool, work: F)
+/// Run `work(search, stop, branch)` for every root value on `threads`
+/// workers, each branch with its own `Search` (which polls the cut).
+/// Returns the per-branch results and the stats of every branch that
+/// ran, summed in branch order.
+fn par_branches<T, F>(
+    compiled: &Compiled,
+    threads: usize,
+    values: &[u32],
+    work: F,
+) -> (Vec<T>, SolverStats)
 where
-    F: Fn(usize, u32, &mut Search<'_>) + Sync,
+    T: Send + Default,
+    F: Fn(&mut Search<'_>, &Stop, usize) -> T + Sync,
 {
-    let next = AtomicUsize::new(0);
-    let n_workers = threads.min(values.len()).max(1);
-    let all_stats = Mutex::new(SolverStats::default());
-    std::thread::scope(|scope| {
-        for _ in 0..n_workers {
-            scope.spawn(|| {
-                let mut search = Search::new(compiled, Some(stop));
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= values.len() {
-                        break;
-                    }
-                    work(i, values[i], &mut search);
-                }
-                all_stats
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .absorb(&search.stats);
-            });
-        }
+    let runs = exec::map(values.len(), threads, |i, stop| {
+        let mut search = Search::new(compiled, Some((stop, i)));
+        let out = work(&mut search, stop, i);
+        (out, search.stats)
     });
-    // Fold worker stats into a thread-local the callers can read back.
-    // (Stats are plain counters, so a poisoned lock — a worker panicking
-    // mid-absorb — still holds usable data.)
-    let folded = *all_stats
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    PAR_STATS.with(|s| s.set(folded));
+    let stats = runs.iter().fold(SolverStats::default(), |mut acc, (_, s)| {
+        acc.absorb(s);
+        acc
+    });
+    (runs.into_iter().map(|(out, _)| out).collect(), stats)
 }
 
-thread_local! {
-    /// Stats of the last parallel run on this thread (the drivers read it
-    /// right after `par_branches` returns; no cross-call state is kept).
-    static PAR_STATS: std::cell::Cell<SolverStats> = const {
-        std::cell::Cell::new(SolverStats {
-            nodes: 0,
-            prunings: 0,
-            backtracks: 0,
-            solutions: 0,
-        })
-    };
-}
-
+/// The first solution found stops every branch; the lowest branch that
+/// found one wins.
 fn par_solve(
     compiled: &Compiled,
     threads: usize,
     var: usize,
     values: &[u32],
 ) -> (Option<Vec<u32>>, SolverStats) {
-    let stop = AtomicBool::new(false);
-    let found: Mutex<Option<(usize, Vec<u32>)>> = Mutex::new(None);
-    par_branches(compiled, threads, values, &stop, |branch, val, search| {
+    let (found, stats) = par_branches(compiled, threads, values, |search, stop, i| {
         let mut local: Option<Vec<u32>> = None;
-        search.descend(var, val, 0, &mut |sol| {
+        search.descend(var, values[i], 0, &mut |sol| {
             local = Some(sol.to_vec());
+            stop.keep_below(0);
             false
         });
-        if let Some(sol) = local {
-            let mut slot = found
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let replace = slot.as_ref().is_none_or(|(b, _)| branch < *b);
-            if replace {
-                *slot = Some((branch, sol));
-            }
-            stop.store(true, Ordering::Relaxed);
-        }
+        local
     });
-    let stats = PAR_STATS.with(|s| s.get());
-    let sol = found
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .map(|(_, s)| s);
-    (sol, stats)
+    (found.into_iter().flatten().next(), stats)
 }
 
 fn par_count(
@@ -1064,18 +1019,15 @@ fn par_count(
     var: usize,
     values: &[u32],
 ) -> (u64, SolverStats) {
-    let stop = AtomicBool::new(false);
-    let total = std::sync::atomic::AtomicU64::new(0);
-    par_branches(compiled, threads, values, &stop, |_, val, search| {
+    let (counts, stats) = par_branches(compiled, threads, values, |search, _, i| {
         let mut local = 0u64;
-        search.descend(var, val, 0, &mut |_| {
+        search.descend(var, values[i], 0, &mut |_| {
             local += 1;
             true
         });
-        total.fetch_add(local, Ordering::Relaxed);
+        local
     });
-    let stats = PAR_STATS.with(|s| s.get());
-    (total.into_inner(), stats)
+    (counts.into_iter().sum(), stats)
 }
 
 fn par_solve_all(
@@ -1085,29 +1037,20 @@ fn par_solve_all(
     values: &[u32],
     limit: usize,
 ) -> (Enumeration, SolverStats) {
-    let stop = AtomicBool::new(false);
     let found_total = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, Vec<Vec<u32>>)>> = Mutex::new(Vec::new());
-    par_branches(compiled, threads, values, &stop, |branch, val, search| {
+    let (per_branch, stats) = par_branches(compiled, threads, values, |search, stop, i| {
         let mut local: Vec<Vec<u32>> = Vec::new();
-        search.descend(var, val, 0, &mut |sol| {
+        search.descend(var, values[i], 0, &mut |sol| {
             local.push(sol.to_vec());
-            found_total.fetch_add(1, Ordering::Relaxed);
-            local.len() < limit && found_total.load(Ordering::Relaxed) < limit
+            let total = found_total.fetch_add(1, Ordering::Relaxed) + 1;
+            if total >= limit {
+                stop.keep_below(0);
+            }
+            total < limit
         });
-        if !local.is_empty() {
-            results
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push((branch, local));
-        }
+        local
     });
-    let stats = PAR_STATS.with(|s| s.get());
-    let mut per_branch = results
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    per_branch.sort_unstable_by_key(|(b, _)| *b);
-    let mut solutions: Vec<Vec<u32>> = per_branch.into_iter().flat_map(|(_, s)| s).collect();
+    let mut solutions: Vec<Vec<u32>> = per_branch.into_iter().flatten().collect();
     let truncated = solutions.len() >= limit;
     solutions.truncate(limit);
     (
@@ -1136,8 +1079,6 @@ fn par_solve_all(
 /// new live set *in place* ([`Self::restrict_probes`]), which is sound
 /// whenever a witness endomorphism into the live set is known.
 ///
-/// `std::thread` usage is confined to this module (lint L003), so the
-/// deterministic parallel candidate probe lives here too.
 pub struct IncrementalSelfHom {
     compiled: Compiled,
     /// Variables whose domains track the live set.
@@ -1196,7 +1137,7 @@ impl IncrementalSelfHom {
     /// GAC pass on the restricted copy first — near-unsatisfiable probes
     /// (e.g. removing any vertex of a directed cycle) die there without
     /// search. Sequential and deterministic for a given root state.
-    pub fn probe_avoiding(&self, avoid: u32, stop: Option<&AtomicBool>) -> Option<Vec<u32>> {
+    pub fn probe_avoiding(&self, avoid: u32, stop: Option<(&Stop, usize)>) -> Option<Vec<u32>> {
         let c = &self.compiled;
         if c.dead {
             return None;
@@ -1241,73 +1182,19 @@ impl IncrementalSelfHom {
         candidates: &[u32],
         threads: usize,
     ) -> (Option<(usize, Vec<u32>)>, Vec<u32>) {
-        let n_workers = threads.max(1).min(candidates.len());
-        if n_workers <= 1 {
-            let mut failed = Vec::new();
-            for (i, &v) in candidates.iter().enumerate() {
-                match self.probe_avoiding(v, None) {
-                    Some(sol) => return (Some((i, sol)), failed),
-                    None => failed.push(v),
-                }
-            }
-            return (None, failed);
-        }
-        let next = AtomicUsize::new(0);
-        let best = AtomicUsize::new(usize::MAX);
-        let stops: Vec<AtomicBool> = candidates.iter().map(|_| AtomicBool::new(false)).collect();
-        let found: Mutex<Vec<(usize, Vec<u32>)>> = Mutex::new(Vec::new());
-        let failed_idx: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..n_workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= candidates.len() {
-                        break;
-                    }
-                    if i > best.load(Ordering::Relaxed) {
-                        continue; // already beaten by a lower success
-                    }
-                    match self.probe_avoiding(candidates[i], Some(&stops[i])) {
-                        Some(sol) => {
-                            best.fetch_min(i, Ordering::Relaxed);
-                            for s in &stops[i + 1..] {
-                                s.store(true, Ordering::Relaxed);
-                            }
-                            found
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                .push((i, sol));
-                        }
-                        None => {
-                            // A cancelled search also reports "no solution";
-                            // only an uncancelled run is a genuine proof.
-                            if !stops[i].load(Ordering::Relaxed) {
-                                failed_idx
-                                    .lock()
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                    .push(i);
-                            }
-                        }
-                    }
-                });
-            }
+        let found = exec::map(candidates.len(), threads, |i, stop| {
+            let sol = self.probe_avoiding(candidates[i], Some((stop, i)))?;
+            stop.keep_below(i + 1);
+            Some(sol)
         });
-        let mut wins = found
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        wins.sort_unstable_by_key(|(i, _)| *i);
-        let winner = wins.into_iter().next();
-        let cut = winner.as_ref().map_or(candidates.len(), |(i, _)| *i);
-        let mut failed: Vec<usize> = failed_idx
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        failed.sort_unstable();
-        let failed = failed
+        // Every probe below the lowest success ran uncancelled, so its
+        // `None` is a genuine proof of failure.
+        let winner = found
             .into_iter()
-            .filter(|&i| i < cut)
-            .map(|i| candidates[i])
-            .collect();
-        (winner, failed)
+            .enumerate()
+            .find_map(|(i, sol)| Some((i, sol?)));
+        let cut = winner.as_ref().map_or(candidates.len(), |(i, _)| *i);
+        (winner, candidates[..cut].to_vec())
     }
 }
 

@@ -28,16 +28,17 @@
 //!    solver-found endomorphism is greedily self-composed until its image
 //!    stabilizes, shrinking many elements per solve.
 //!
-//! Remaining candidates are probed in parallel (`CA_HOM_THREADS`,
-//! `std::thread::scope` inside the sanctioned [`crate::csp`] module) with
+//! Remaining candidates are probed in parallel (one `ca_core::exec::map`
+//! task per candidate, default width `CA_THREADS`) with
 //! deterministic lowest-candidate-wins selection, so the kept element set
 //! is identical at every thread width.
 //!
 //! [`self-hom encoding`]: https://example.org/ `ca_gdm::encode::self_hom_structure`
 
-use crate::csp::{default_threads, IncrementalSelfHom};
+use crate::csp::IncrementalSelfHom;
 use crate::structure::RelStructure;
 use ca_cert::{CoreCert, CoreStep};
+use ca_core::exec;
 
 /// The result of a retraction run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -51,10 +52,10 @@ pub struct Retraction {
     pub map: Vec<u32>,
 }
 
-/// Shrink `s` to a core over the `probe` elements with the default
-/// thread pool ([`default_threads`], i.e. `CA_HOM_THREADS`).
+/// Shrink `s` to a core over the `probe` elements at the default width
+/// ([`exec::width`]).
 pub fn retract_core(s: &RelStructure, probe: &[u32]) -> Retraction {
-    retract_core_with(s, probe, default_threads())
+    retract_core_with(s, probe, exec::width())
 }
 
 /// Shrink `s` to a core over the `probe` elements: find a minimal live

@@ -18,7 +18,7 @@
 //! | L007 | determinism-taint | hash iteration reachable from a deterministic-output seed |
 //! | L008 | untrusted-input | unchecked parsing reachable from `SnapshotView` byte parsing |
 //! | L009 | truncating-id-cast | `as u8/u16/u32` in `ValueId`/`FactId`-adjacent code |
-//! | L010 | thread-merge | `std::thread` outside the kernels needs a deterministic merge |
+//! | L010 | thread-merge | every `std::thread`-using function needs a deterministic merge |
 //!
 //! `L000` is reserved for malformed suppression comments (see
 //! [`crate::allow`]): a suppression that cannot be parsed, or that lacks a
@@ -47,7 +47,7 @@ pub const CATALOG: [(&str, &str, &str); 9] = [
     (
         "L003",
         "thread-hygiene",
-        "std::thread and CA_* env reads are confined to the sanctioned kernel/config modules",
+        "std::thread and CA_* env reads are confined to the fan-out module (ca_core::exec)",
     ),
     (
         "L004",
@@ -82,35 +82,16 @@ pub const CATALOG: [(&str, &str, &str); 9] = [
     (
         "L010",
         "thread-merge",
-        "std::thread outside the sanctioned kernels must merge per-thread results deterministically (sort / reduce in index order)",
+        "a std::thread-using function must merge per-thread results deterministically (sort / reduce in index order)",
     ),
 ];
 
-/// Files allowed to touch `std::thread`: the parallel kernels plus the
-/// config module (for `available_parallelism`).
-const THREAD_SANCTIONED: [&str; 5] = [
-    "crates/core/src/config.rs",
-    "crates/core/src/store/ingest.rs",
-    "crates/hom/src/csp.rs",
-    "crates/query/src/engine/par.rs",
-    "crates/query/src/engine/sweep.rs",
-];
+/// Files allowed to touch `std::thread`: only the one fan-out module.
+const THREAD_SANCTIONED: [&str; 1] = ["crates/core/src/exec.rs"];
 
-/// Files L010 does not scan for a deterministic merge: the three
-/// original kernels, whose merge discipline predates the rule and is
-/// pinned by the determinism suites directly. The newer thread modules
-/// (`store/ingest.rs`, `engine/par.rs`) are deliberately *not* exempt —
-/// their thread-using functions must carry an in-function merge marker,
-/// so the rule actively covers them instead of allowlisting.
-const THREAD_MERGE_EXEMPT: [&str; 3] = [
-    "crates/core/src/config.rs",
-    "crates/hom/src/csp.rs",
-    "crates/query/src/engine/sweep.rs",
-];
-
-/// Files allowed to read `CA_*` environment variables: only the config
-/// module — both kernels take their width through it.
-const ENV_SANCTIONED: [&str; 1] = ["crates/core/src/config.rs"];
+/// Files allowed to read `CA_*` environment variables: only the fan-out
+/// module, which owns the one width knob.
+const ENV_SANCTIONED: [&str; 1] = ["crates/core/src/exec.rs"];
 
 /// One reported violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -401,7 +382,7 @@ fn rule_l003(ctx: &mut Ctx<'_>) {
                 i,
                 format!(
                     "`std::thread` outside the sanctioned modules ({}); route parallelism \
-                     through the existing kernels so determinism stays provable",
+                     through ca_core::exec::map so determinism stays provable",
                     THREAD_SANCTIONED.join(", ")
                 ),
             );
@@ -421,7 +402,7 @@ fn rule_l003(ctx: &mut Ctx<'_>) {
                 "L003",
                 i,
                 format!(
-                    "`{var}` read outside {}; all CA_* knobs go through ca_core::config",
+                    "`{var}` read outside {}; the one CA_* knob goes through ca_core::exec",
                     ENV_SANCTIONED.join(", ")
                 ),
             );
@@ -1010,16 +991,12 @@ fn rule_l009(files: &[FileRecord], out: &mut Vec<Violation>) {
     }
 }
 
-/// L010: thread-scope hygiene. Any function outside the merge-exempt
-/// kernels ([`THREAD_MERGE_EXEMPT`]) that touches `std::thread` must
-/// contain a deterministic merge of the per-thread results
-/// ([`MERGE_MARKERS`]) — including the sanctioned thread modules added
-/// after the rule (`store/ingest.rs`, `engine/par.rs`).
+/// L010: thread-scope hygiene. Any function that touches `std::thread`
+/// must contain a deterministic merge of the per-thread results
+/// ([`MERGE_MARKERS`]) — the fan-out module included, so its in-order
+/// merge is checked, not exempted.
 fn rule_l010(files: &[FileRecord], out: &mut Vec<Violation>) {
     for f in files {
-        if in_list(&f.path, &THREAD_MERGE_EXEMPT) {
-            continue;
-        }
         let toks = &f.lexed.toks;
         let text = |i: usize| toks.get(i).map_or("", |t| t.text.as_str());
         for (local, item) in f.items.fns.iter().enumerate() {

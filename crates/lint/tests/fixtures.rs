@@ -27,7 +27,7 @@ fn codes(path: &str, src: &str, cfg: &LintConfig) -> Vec<&'static str> {
 /// Assert `src` at `path` trips `rule` — and stops tripping it when the
 /// rule is disabled.
 fn assert_fires(rule: &'static str, path: &str, src: &str) {
-    let design = "documented: CA_EVAL_THREADS CA_HOM_THREADS".to_string();
+    let design = "documented: CA_THREADS".to_string();
     let with = codes(path, src, &LintConfig::all(design.clone()));
     assert!(
         with.contains(&rule),
@@ -42,7 +42,7 @@ fn assert_fires(rule: &'static str, path: &str, src: &str) {
 
 /// Assert `src` at `path` is clean for `rule` with every rule enabled.
 fn assert_clean(rule: &'static str, path: &str, src: &str) {
-    let design = "documented: CA_EVAL_THREADS CA_HOM_THREADS".to_string();
+    let design = "documented: CA_THREADS".to_string();
     let got = codes(path, src, &LintConfig::all(design));
     assert!(
         !got.contains(&rule),
@@ -105,21 +105,32 @@ fn l003_fires_on_stray_threads_and_env_reads() {
 }
 
 #[test]
-fn l003_sanctions_the_kernels_and_config() {
-    assert_clean(
+fn l003_fires_in_the_former_kernels() {
+    // The kernels fan out through ca_core::exec now; a thread or a knob
+    // read creeping back into one of them is a violation.
+    assert_fires(
         "L003",
         "crates/query/src/engine/sweep.rs",
         "fn f() { std::thread::scope(|_| {}); }",
     );
+    assert_fires(
+        "L003",
+        "crates/core/src/config.rs",
+        "fn f() -> bool { std::env::var(\"CA_THREADS\").is_ok() }",
+    );
+}
+
+#[test]
+fn l003_sanctions_the_fan_out_module() {
     assert_clean(
         "L003",
-        "crates/hom/src/csp.rs",
+        "crates/core/src/exec.rs",
         "fn f() { std::thread::scope(|_| {}); }",
     );
     assert_clean(
         "L003",
-        "crates/core/src/config.rs",
-        "fn f() -> bool { std::env::var(\"CA_EVAL_THREADS\").is_ok() }",
+        "crates/core/src/exec.rs",
+        "fn f() -> bool { std::env::var(\"CA_THREADS\").is_ok() }",
     );
     // Non-CA_ env reads are out of scope for L003.
     assert_clean(
@@ -174,8 +185,8 @@ fn l005_fires_on_undocumented_env_var() {
 
 #[test]
 fn l005_accepts_documented_vars_and_non_var_strings() {
-    // CA_EVAL_THREADS is in the fixture design doc.
-    assert_clean("L005", LIB_PATH, "const KNOB: &str = \"CA_EVAL_THREADS\";");
+    // CA_THREADS is in the fixture design doc.
+    assert_clean("L005", LIB_PATH, "const KNOB: &str = \"CA_THREADS\";");
     // Lowercase / prefix-only strings are not env-var names.
     assert_clean(
         "L005",
@@ -217,7 +228,7 @@ fn l006_fires_on_an_undeclared_manifest_dependency() {
         "[package]\nname = \"ca-core\"\n\n[dependencies]\nca-query = { path = \"../query\" }\n"
             .to_string(),
     )];
-    let design = "documented: CA_EVAL_THREADS CA_HOM_THREADS".to_string();
+    let design = "documented: CA_THREADS".to_string();
     let got = lint_sources(&files, &manifests, &LintConfig::all(design.clone()));
     assert!(
         got.iter()
@@ -398,21 +409,27 @@ fn l010_fires_on_threads_without_a_deterministic_merge() {
         LIB_PATH,
         "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }",
     );
+    // No file is exempt, the fan-out module included.
+    assert_fires(
+        "L010",
+        "crates/core/src/exec.rs",
+        "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }",
+    );
 }
 
 #[test]
-fn l010_accepts_merged_results_and_sanctioned_files() {
+fn l010_accepts_index_ordered_merges() {
     // A sort after the scope is a deterministic merge.
     assert_clean(
         "L010",
         LIB_PATH,
         "fn f() { let mut out: Vec<u32> = Vec::new(); std::thread::scope(|s| { s.spawn(|| {}); }); out.sort_unstable(); }",
     );
-    // The sanctioned kernels own their merge discipline already.
+    // An index-ordered fold is one too.
     assert_clean(
         "L010",
-        "crates/query/src/engine/sweep.rs",
-        "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }",
+        "crates/core/src/exec.rs",
+        "fn f() -> u32 { let v: Vec<u32> = std::thread::scope(|_| Vec::new()); v.into_iter().fold(0, |a, b| a + b) }",
     );
 }
 

@@ -18,12 +18,13 @@
 //!
 //! The brute-force drivers compile the query once and sweep the
 //! `|pool|^#nulls` completion grid in parallel through
-//! [`crate::engine`] (`CA_EVAL_THREADS` workers, early exit, results
+//! [`crate::engine`] (`CA_THREADS` workers, early exit, results
 //! identical for every thread count); completions are materialized one at
 //! a time per worker instead of all up front.
 
 use std::collections::BTreeSet;
 
+use ca_core::exec;
 use ca_core::value::Value;
 use ca_relational::database::NaiveDatabase;
 use ca_relational::hom::find_hom;
@@ -104,7 +105,7 @@ pub fn adequate_pool(db: &NaiveDatabase, query_constants: &BTreeSet<i64>) -> Vec
 /// assert_eq!(naive_eval_bool(&q, &d), certain_answer_bool(&q, &d));
 /// ```
 pub fn certain_answer_bool(q: &UnionQuery, db: &NaiveDatabase) -> bool {
-    certain_answer_bool_with(q, db, sweep::eval_threads())
+    certain_answer_bool_with(q, db, exec::width())
 }
 
 /// [`certain_answer_bool`] with an explicit sweep thread count. The query
@@ -118,11 +119,11 @@ pub fn certain_answer_bool_with(q: &UnionQuery, db: &NaiveDatabase, threads: usi
 }
 
 /// Brute-force Boolean certain answer for an arbitrary FO sentence,
-/// sweeping the completion grid in parallel (`CA_EVAL_THREADS`).
+/// sweeping the completion grid in parallel (`CA_THREADS`).
 pub fn certain_answer_fo(phi: &Fo, db: &NaiveDatabase) -> bool {
     let pool = adequate_pool(db, &fo_constants(phi));
     let space = CompletionSpace::new(db, &pool);
-    sweep::parallel_all(space.len(), sweep::eval_threads(), |i| {
+    sweep::parallel_all(space.len(), exec::width(), |i| {
         eval_fo(phi, &space.completion(i))
     })
 }
@@ -151,7 +152,7 @@ pub fn naive_eval_table(q: &UnionQuery, db: &NaiveDatabase) -> BTreeSet<Vec<Valu
 /// Brute-force certain answers of a non-Boolean UCQ: intersect the answer
 /// tables over all completions into the adequate pool.
 pub fn certain_table(q: &UnionQuery, db: &NaiveDatabase) -> BTreeSet<Vec<Value>> {
-    certain_table_with(q, db, sweep::eval_threads())
+    certain_table_with(q, db, exec::width())
 }
 
 /// [`certain_table`] with an explicit sweep thread count. The query

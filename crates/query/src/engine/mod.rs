@@ -19,7 +19,7 @@
 //!    across repeated evaluations on the same store;
 //! 3. **parallel completion sweep** ([`sweep`]) — brute-force certain
 //!    answers sweep the `|pool|^#nulls` completion grid in parallel
-//!    (`CA_EVAL_THREADS`), grounding each completion by remapping null
+//!    (`ca_core::exec`), grounding each completion by remapping null
 //!    ids over shared column pages, with early exit once the
 //!    intersection empties and thread-count-independent results.
 //!
@@ -50,7 +50,7 @@ pub use par::{
     eval_cq_partitioned, eval_ucq_gated, eval_ucq_partitioned, PART_MIN_ROWS, PART_MIN_WORK,
 };
 pub use plan::{CompiledCq, CompiledUcq, PlanError};
-pub use sweep::{eval_threads, CompletionSpace};
+pub use sweep::CompletionSpace;
 
 /// Compile a CQ against a schema.
 pub fn compile_cq(q: &ConjunctiveQuery, schema: &Schema) -> Result<CompiledCq, PlanError> {
@@ -349,9 +349,9 @@ pub fn eval_seeded_into(
 
 /// Evaluate a compiled UCQ on a prepared index: the union of the
 /// disjuncts' answer sets. Each disjunct takes the partitioned path
-/// ([`par`]) when `CA_PART_THREADS` resolves above one and its leading
-/// relation is large enough — contents are identical either way, so the
-/// knob only moves wall time.
+/// ([`par`]) when the default width (`CA_THREADS`) is above one and its
+/// leading relation is large enough — contents are identical either
+/// way, so the knob only moves wall time.
 pub fn eval_ucq_on(ucq: &CompiledUcq, idx: &mut DbIndex<'_>) -> BTreeSet<Vec<Value>> {
     let mut out = BTreeSet::new();
     for d in &ucq.disjuncts {
@@ -385,8 +385,8 @@ pub fn eval_ucq(q: &UnionQuery, db: &NaiveDatabase) -> Result<BTreeSet<Vec<Value
 
 /// Compile (cost-based) and evaluate a CQ over a database (nulls as
 /// values). Takes the same automatic partitioned route as
-/// [`eval_ucq_on`] — the `CA_PART_THREADS` knob applies here too and
-/// only moves wall time.
+/// [`eval_ucq_on`] — the `CA_THREADS` knob applies here too and only
+/// moves wall time.
 pub fn eval_cq(
     q: &ConjunctiveQuery,
     db: &NaiveDatabase,

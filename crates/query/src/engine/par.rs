@@ -6,7 +6,7 @@
 //! disjoint row partitions (hash-partitioned on its first bound column
 //! via `ca_core::store::partition`, or on row ids when the atom binds
 //! nothing) and evaluates each partition as an independent seeded join
-//! ([`super::eval_seeded_into`]) on its own worker.
+//! ([`super::eval_seeded_into`]) as its own [`ca_core::exec::map`] task.
 //!
 //! Correctness is the partition layer's completeness property: the
 //! partitions disjointly cover the leading atom's live rows, and every
@@ -18,7 +18,8 @@
 //! same contract the sweep and the chase pin.
 //!
 //! The partitioned path engages automatically (see [`eval_cq_auto_into`])
-//! only when `CA_PART_THREADS` resolves above one **and** the leading
+//! only when the default width ([`ca_core::exec::width`]) is above one
+//! **and** the leading
 //! relation has at least [`PART_MIN_ROWS`] live rows: below that,
 //! spawning costs more than the join. Boolean evaluation never
 //! partitions — it early-exits on the first witness, which a fan-out
@@ -26,7 +27,7 @@
 
 use std::collections::BTreeSet;
 
-use ca_core::config;
+use ca_core::exec;
 use ca_core::store::partition::{partition_ids, partition_rows};
 use ca_core::value::Value;
 
@@ -122,27 +123,13 @@ pub fn eval_cq_partitioned_into(
     };
     let idx = &*idx;
     let prep = &prep;
-    let sets: Vec<BTreeSet<Vec<Value>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = partitions
-            .iter()
-            .map(|part| {
-                scope.spawn(move || {
-                    let mut local: BTreeSet<Vec<Value>> = BTreeSet::new();
-                    eval_seeded_into(cq, prep, idx, part, &mut |row| {
-                        local.insert(row.to_vec());
-                        true
-                    });
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(set) => set,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+    let sets = exec::map(partitions.len(), parts, |p, _| {
+        let mut local: BTreeSet<Vec<Value>> = BTreeSet::new();
+        eval_seeded_into(cq, prep, idx, &partitions[p], &mut |row| {
+            local.insert(row.to_vec());
+            true
+        });
+        local
     });
     // Deterministic merge: fold the disjoint per-partition answer sets
     // in partition-index order. Set union is order-insensitive, so the
@@ -181,7 +168,7 @@ pub fn eval_ucq_partitioned(
 }
 
 /// The automatic route every UCQ disjunct takes ([`super::eval_ucq_on`]):
-/// partition when `CA_PART_THREADS` resolves above one and the leading
+/// partition when [`exec::width`] is above one and the leading
 /// relation is at least [`PART_MIN_ROWS`] live rows, else run the
 /// sequential engine. Both arms produce identical contents, so the knob
 /// only moves wall time.
@@ -190,7 +177,7 @@ pub(crate) fn eval_cq_auto_into(
     idx: &mut DbIndex<'_>,
     out: &mut BTreeSet<Vec<Value>>,
 ) {
-    let parts = config::part_threads();
+    let parts = exec::width();
     if parts > 1 && worth_partitioning(cq, idx) {
         eval_cq_partitioned_into(cq, idx, parts, out);
     } else {
@@ -200,20 +187,14 @@ pub(crate) fn eval_cq_auto_into(
 
 /// Cost-gated partitioned UCQ evaluation, the entry the benches and
 /// batch callers use: each disjunct partitions only when
-/// `worth_partitioning` says the join can amortize the fan-out, at a
-/// width of an explicit `CA_PART_THREADS` verbatim (the determinism
-/// suites pin widths wider than the host) or else `requested` clamped
-/// to the machine's cores — oversubscribing cores loses by pure
-/// coordination, the `e02_ucq_edge` regression of `BENCH_query.json`.
-/// Contents are identical to [`super::eval_ucq_on`] at every width.
+/// `worth_partitioning` says the join can amortize the fan-out, at
+/// `width` honoured verbatim. Contents are identical to
+/// [`super::eval_ucq_on`] at every width.
 pub fn eval_ucq_gated(
     ucq: &super::CompiledUcq,
     idx: &mut DbIndex<'_>,
-    requested: usize,
+    width: usize,
 ) -> BTreeSet<Vec<Value>> {
-    let width = config::part_threads_set()
-        .unwrap_or_else(|| requested.min(config::available_parallelism_or(1)))
-        .max(1);
     let mut out = BTreeSet::new();
     for d in &ucq.disjuncts {
         if width > 1 && worth_partitioning(d, idx) {

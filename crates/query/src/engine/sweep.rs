@@ -3,34 +3,24 @@
 //! Brute-force certain answers intersect (or conjoin) a query's result
 //! over every completion of a naïve database into an adequate constant
 //! pool. That space is a `|pool|^#nulls` grid; this module addresses it
-//! by linear index, partitions it into contiguous per-thread chunks
-//! (`std::thread::scope`), and sweeps with early exit: once any thread's
-//! partial intersection is empty (or any completion falsifies a Boolean
-//! query), a shared flag stops every worker — the global answer is
-//! already determined.
+//! by linear index, splits it into contiguous chunks, one
+//! [`ca_core::exec::map`] task each, and sweeps with early exit: once any
+//! chunk's partial intersection is empty (or any completion falsifies a
+//! Boolean query), the chunk cuts every task (`keep_below(0)`) — the
+//! global answer is already determined.
 //!
-//! Determinism: per-thread partial results are sets, set intersection is
-//! commutative and associative, and the final merge folds the per-thread
-//! results in thread-index order, so the answer is byte-identical for
-//! every thread count (asserted by `tests/eval_differential.rs`).
-//!
-//! The thread count comes from `CA_EVAL_THREADS` (default: available
-//! parallelism), mirroring the solver's `CA_HOM_THREADS`.
+//! Determinism: per-chunk partial results are sets, set intersection is
+//! commutative and associative, and the final merge folds them in chunk
+//! order, so the answer is byte-identical for every width (asserted by
+//! `tests/eval_differential.rs`).
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 
+use ca_core::exec;
 use ca_core::store::{null_index, FactStore, ValueId};
 use ca_core::value::{Null, Value};
 use ca_relational::database::{NaiveDatabase, Valuation};
 use ca_relational::store_bridge::to_store;
-
-/// The sweep thread count: `CA_EVAL_THREADS`, else available parallelism
-/// (parsed by the shared [`ca_core::config`] policy: saturating, explicit
-/// fallback on malformed values).
-pub fn eval_threads() -> usize {
-    ca_core::config::eval_threads()
-}
 
 /// The space of completions of `db` into a constant pool, addressable by
 /// linear index: completion `i` grounds null `j` (in sorted null order)
@@ -170,28 +160,23 @@ fn chunks(count: u128, threads: usize) -> Vec<(u128, u128)> {
 /// (the usual convention for an intersection over an empty family).
 pub fn parallel_all(count: u128, threads: usize, check: impl Fn(u128) -> bool + Sync) -> bool {
     let parts = chunks(count, effective_threads(count, threads));
-    if parts.len() <= 1 {
-        return parts.first().is_none_or(|&(lo, hi)| (lo..hi).all(&check));
-    }
-    let failed = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for &(lo, hi) in &parts {
-            let failed = &failed;
-            let check = &check;
-            scope.spawn(move || {
-                for i in lo..hi {
-                    if failed.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    if !check(i) {
-                        failed.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                }
-            });
+    // A chunk is true only if it checked its whole range; only a failure
+    // cuts, so a cancelled or skipped chunk is false for a good reason.
+    exec::map(parts.len(), threads, |t, stop| {
+        let (lo, hi) = parts[t];
+        for i in lo..hi {
+            if stop.cancelled(t) {
+                return false;
+            }
+            if !check(i) {
+                stop.keep_below(0);
+                return false;
+            }
         }
-    });
-    !failed.load(Ordering::Relaxed)
+        true
+    })
+    .into_iter()
+    .all(|ok| ok)
 }
 
 /// Intersect `eval(i)` over every `i` in `0..count`, in parallel with
@@ -209,104 +194,26 @@ pub fn parallel_intersect(
         return None;
     }
     let parts = chunks(count, effective_threads(count, threads));
-    if let [(lo, hi)] = parts.as_slice() {
-        let (lo, hi) = (*lo, *hi);
+    let partials = exec::map(parts.len(), threads, |t, stop| {
+        let (lo, hi) = parts[t];
         let mut acc = eval(lo);
         for i in lo + 1..hi {
-            if acc.is_empty() {
+            if acc.is_empty() || stop.cancelled(t) {
                 break;
             }
             let next = eval(i);
             acc.retain(|row| next.contains(row));
         }
-        return Some(acc);
-    }
-    let dead = AtomicBool::new(false);
-    let partials = std::thread::scope(|scope| {
-        let handles: Vec<_> = parts
-            .iter()
-            .map(|&(lo, hi)| {
-                let dead = &dead;
-                let eval = &eval;
-                scope.spawn(move || {
-                    let mut acc = eval(lo);
-                    for i in lo + 1..hi {
-                        if acc.is_empty() || dead.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let next = eval(i);
-                        acc.retain(|row| next.contains(row));
-                    }
-                    if acc.is_empty() {
-                        dead.store(true, Ordering::Relaxed);
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(partial) => partial,
-                // A worker only panics if `eval` panicked; re-raise the
-                // original payload rather than inventing a new panic here.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect::<Vec<_>>()
+        if acc.is_empty() {
+            stop.keep_below(0);
+        }
+        acc
     });
-    // A set flag means some thread's partial intersection over a prefix of
-    // its range emptied; the global intersection is a subset of it.
-    if dead.load(Ordering::Relaxed) {
-        return Some(BTreeSet::new());
-    }
-    // `count > 0` guarantees at least one chunk; if that invariant ever
-    // broke, the empty-default is still the correct empty intersection.
-    Some(
-        partials
-            .into_iter()
-            .reduce(|mut acc, next| {
-                acc.retain(|row| next.contains(row));
-                acc
-            })
-            .unwrap_or_default(),
-    )
-}
-
-/// Deterministic parallel map: compute `f(0), …, f(count - 1)` on at most
-/// `threads` workers over contiguous index chunks and return the results
-/// **in index order**, so the output is byte-identical at every thread
-/// count. Used by the chase engine's match phase (this module is the
-/// sanctioned home for `std::thread` in the query crate). Runs
-/// sequentially for `threads <= 1` or fewer than two items.
-pub fn parallel_map<T: Send>(
-    count: usize,
-    threads: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let width = threads.max(1).min(count.max(1));
-    if width <= 1 {
-        return (0..count).map(f).collect();
-    }
-    let per = count.div_ceil(width).max(1);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        let mut lo = 0;
-        while lo < count {
-            let hi = (lo + per).min(count);
-            let f = &f;
-            handles.push(scope.spawn(move || (lo..hi).map(f).collect::<Vec<T>>()));
-            lo = hi;
-        }
-        let mut out = Vec::with_capacity(count);
-        for h in handles {
-            match h.join() {
-                Ok(part) => out.extend(part),
-                // A worker only panics if `f` panicked; re-raise the
-                // original payload rather than inventing a new panic here.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
+    // Only an empty partial cuts, and it stays in the fold, so cancelled
+    // (superset) and skipped (empty) chunks cannot change the result.
+    partials.into_iter().reduce(|mut acc, next| {
+        acc.retain(|row| next.contains(row));
+        acc
     })
 }
 
@@ -314,16 +221,6 @@ pub fn parallel_map<T: Send>(
 mod tests {
     use super::*;
     use ca_relational::database::build::{c, n, table};
-
-    #[test]
-    fn parallel_map_is_order_preserving_at_every_width() {
-        let expected: Vec<usize> = (0..103).map(|i| i * i).collect();
-        for threads in [1, 2, 3, 4, 9] {
-            assert_eq!(parallel_map(103, threads, |i| i * i), expected);
-        }
-        assert!(parallel_map(0, 4, |i| i).is_empty());
-        assert_eq!(parallel_map(1, 4, |i| i), vec![0]);
-    }
 
     #[test]
     fn completion_space_counts() {

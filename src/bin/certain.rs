@@ -18,6 +18,7 @@ use std::process::exit;
 use certain_answers::core::preorder::Preorder;
 use certain_answers::query::ast::UnionQuery;
 use certain_answers::query::certain::{certain_answer_bool, naive_eval_table};
+use certain_answers::query::engine::PlanError;
 use certain_answers::query::minimize::minimize_cq;
 use certain_answers::query::parse::{parse_cq, parse_ucq};
 use certain_answers::relational::database::NaiveDatabase;
@@ -43,11 +44,42 @@ fn db(arg: &str) -> NaiveDatabase {
     })
 }
 
-fn ucq(arg: &str) -> UnionQuery {
-    parse_ucq(&load(arg)).unwrap_or_else(|e| {
+/// Parse a query and check every atom's arity against `d`'s schema. A
+/// relation absent from the database is not an error (its certain
+/// answers are empty); a relation used at the wrong arity is.
+fn ucq(arg: &str, d: &NaiveDatabase) -> UnionQuery {
+    let q = parse_ucq(&load(arg)).unwrap_or_else(|e| {
         eprintln!("query: {e}");
         exit(2);
-    })
+    });
+    for atom in q.disjuncts.iter().flat_map(|cq| &cq.atoms) {
+        let used = atom.args.len();
+        let declared = d.schema.relation(&atom.rel).map(|r| d.schema.arity(r));
+        if let Some(declared) = declared.filter(|&n| n != used) {
+            let rel = atom.rel.to_string();
+            eprintln!(
+                "query: {}",
+                PlanError::ArityMismatch {
+                    rel,
+                    declared,
+                    used
+                }
+            );
+            exit(2);
+        }
+    }
+    q
+}
+
+/// Two databases to compare: their schemas must agree on relation names
+/// and arities.
+fn db_pair(a: &str, b: &str) -> (NaiveDatabase, NaiveDatabase) {
+    let (a, b) = (db(a), db(b));
+    if !a.schema.compatible_with(&b.schema) {
+        eprintln!("databases: incompatible schemas (relation names and arities must agree)");
+        exit(2);
+    }
+    (a, b)
 }
 
 fn print_db(d: &NaiveDatabase) {
@@ -69,7 +101,7 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("eval") if args.len() == 3 => {
             let d = db(&args[1]);
-            let q = ucq(&args[2]);
+            let q = ucq(&args[2], &d);
             if q.head_arity() == 0 {
                 let ans = certain_answers::query::certain::naive_eval_bool(&q, &d);
                 println!("{ans}");
@@ -82,7 +114,7 @@ fn main() {
         }
         Some("check") if args.len() == 3 => {
             let d = db(&args[1]);
-            let q = ucq(&args[2]);
+            let q = ucq(&args[2], &d);
             if q.head_arity() != 0 {
                 eprintln!("check works on Boolean queries");
                 exit(2);
@@ -97,8 +129,7 @@ fn main() {
             }
         }
         Some("order") if args.len() == 3 => {
-            let a = db(&args[1]);
-            let b = db(&args[2]);
+            let (a, b) = db_pair(&args[1], &args[2]);
             let le = InfoOrder.leq(&a, &b);
             let ge = InfoOrder.leq(&b, &a);
             match (le, ge) {
@@ -109,8 +140,7 @@ fn main() {
             }
         }
         Some("glb") if args.len() == 3 => {
-            let a = db(&args[1]);
-            let b = db(&args[2]);
+            let (a, b) = db_pair(&args[1], &args[2]);
             print_db(&glb_databases(&a, &b));
         }
         Some("minimize") if args.len() == 2 => {

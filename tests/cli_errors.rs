@@ -26,3 +26,48 @@ fn conflicting_arity_exits_with_a_parse_error() {
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// Assert a typed error on stderr with exit status 2 and no panic.
+fn assert_typed_error(args: &[&str], prefix: &str) {
+    let (code, stderr) = certain(args);
+    assert_eq!(code, Some(2), "{args:?}: stderr: {stderr}");
+    assert!(stderr.starts_with(prefix), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
+/// Comparing databases over different relations is a schema error, not
+/// the homomorphism search's incompatible-schema panic.
+#[test]
+fn order_over_incompatible_schemas_is_a_typed_error() {
+    assert_typed_error(
+        &["order", "R(1)", "S(1,2)"],
+        "databases: incompatible schemas",
+    );
+}
+
+/// The same relation at two arities across the two databases.
+#[test]
+fn glb_over_incompatible_schemas_is_a_typed_error() {
+    assert_typed_error(
+        &["glb", "R(1)", "R(1,2)"],
+        "databases: incompatible schemas",
+    );
+}
+
+/// A query atom at the wrong arity used to print nothing.
+#[test]
+fn eval_arity_mismatch_is_a_typed_error() {
+    assert_typed_error(
+        &["eval", "R(1,2)", "(x) :- R(x)"],
+        "query: relation R has arity 2 but the atom uses 1",
+    );
+}
+
+/// A Boolean query atom at the wrong arity used to print `false`/`false`.
+#[test]
+fn check_arity_mismatch_is_a_typed_error() {
+    assert_typed_error(
+        &["check", "R(1,2)", "() :- R(x)"],
+        "query: relation R has arity 2 but the atom uses 1",
+    );
+}

@@ -209,9 +209,9 @@ fn store_scan_order_is_build_independent() {
 /// Store-backed evaluation: the lazily built posting tables (CSR or
 /// hash) are the only order-sensitive index structure left; answers
 /// drawn through them must be identical across independently built
-/// stores and across evaluation widths 1 vs 4 (the `CA_EVAL_THREADS`
-/// knob — `certain_table_over` takes the resolved width explicitly, so
-/// this pins exactly what varying the env var varies). The fixture
+/// stores and across evaluation widths 1 vs 4 (the `CA_THREADS` knob —
+/// `certain_table_over` takes the resolved width explicitly, so this
+/// pins exactly what varying the env var varies). The fixture
 /// exceeds `INDEX_THRESHOLD`, so postings are genuinely probed.
 #[test]
 fn store_backed_postings_are_layout_and_thread_independent() {
@@ -421,10 +421,13 @@ fn partitioned_answers_are_partition_count_independent() {
 }
 
 /// The chase's partitioned match phase: certificates byte-identical at
-/// widths {1, 2, 4, 7}. The fixture seeds 600 facts — past the
-/// `PAR_MIN_SEED = 512` gate — so widths > 1 genuinely hash-partition
-/// the seed lists into per-worker tasks (smaller fixtures would pass
-/// vacuously through the sequential path).
+/// widths {1, 2, 4, 7}, each honoured verbatim whatever the host's core
+/// count. The fixture clears both gates of the match-phase fan-out: it
+/// seeds 600+ `T` facts (past `PAR_MIN_SEED = 512`), and the join
+/// `T(x, y), S(y, z)` probes a 40-fold `S` fan-out, so the cost model
+/// prices the round above `PART_MIN_WORK`. Widths > 1 therefore
+/// genuinely hash-partition the seed lists into per-worker tasks
+/// (smaller fixtures would pass vacuously through the sequential path).
 #[test]
 fn chase_partition_tasks_are_width_independent() {
     use ca_exchange::chase::{chase_certified, ChaseConfig};
@@ -432,26 +435,32 @@ fn chase_partition_tasks_are_width_independent() {
     use ca_gdm::database::GenDb;
     use ca_gdm::schema::GenSchema;
 
-    let schema = || GenSchema::from_parts(&[("T", 2), ("U", 1)], &[]);
+    let schema = || GenSchema::from_parts(&[("T", 2), ("S", 2), ("U", 2)], &[]);
     let instance = |rotation: usize| {
-        let mut facts: Vec<Vec<Value>> = (0..600i64).map(|i| vec![c(i), c(i + 1)]).collect();
-        facts.push(vec![c(0), n(1)]);
-        facts.push(vec![n(1), c(7)]);
+        let mut facts: Vec<(&str, Vec<Value>)> =
+            (0..600i64).map(|i| ("T", vec![c(i), c(i + 1)])).collect();
+        facts.push(("T", vec![c(0), n(1)]));
+        facts.push(("T", vec![n(1), c(7)]));
+        // 16 join keys spread over the T path, 40 S facts each.
+        for k in 1..=16i64 {
+            facts.extend((0..40i64).map(|j| ("S", vec![c(37 * k), c(1000 + j)])));
+        }
         let mid = rotation % facts.len();
         facts.rotate_left(mid);
         let mut d = GenDb::new(schema());
-        for args in facts {
-            d.add_node("T", args);
+        for (rel, args) in facts {
+            d.add_node(rel, args);
         }
         d
     };
-    // Projection rule T(x, y) → U(x): every T fact is a seed (600+ ≥
-    // PAR_MIN_SEED), one extra round, cheap deterministic closure.
+    // Join rule T(x, y), S(y, z) → U(x, z): every T and S fact is a
+    // seed, one extra round, cheap deterministic closure.
     let project = {
         let mut body = GenDb::new(schema());
         body.add_node("T", vec![n(90), n(91)]);
+        body.add_node("S", vec![n(91), n(92)]);
         let mut head = GenDb::new(schema());
-        head.add_node("U", vec![n(90)]);
+        head.add_node("U", vec![n(90), n(92)]);
         Rule { body, head }
     };
     let tgds = [project];
