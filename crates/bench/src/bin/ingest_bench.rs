@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use ca_bench::report::{git_rev, host_cores, Report};
 use ca_core::store::{ingest, FactStore};
-use ca_query::engine::{self, CompiledUcq, DbIndex};
+use ca_query::engine::{self, CompiledUcq, CostModel, DbIndex};
 use ca_query::reference;
 use ca_query::{Atom, ConjunctiveQuery, Term, UnionQuery};
 use ca_relational::from_store;
@@ -221,7 +221,8 @@ fn main() {
 
         let q = chain2();
         let db = from_store(&store);
-        let plan = CompiledUcq::compile(&q, &db.schema).expect("chain2 compiles");
+        let plan = CompiledUcq::compile_costed(&q, &db.schema, &CostModel::from_store(&store))
+            .expect("chain2 compiles");
 
         // Reference oracle on a prefix: the nested-loop evaluator
         // rescans the relation per atom, so it is infeasible at the full
@@ -237,15 +238,15 @@ fn main() {
         let oracle_db = from_store(&oracle_store);
         assert_eq!(
             reference::eval_ucq(&q, &oracle_db),
-            engine::eval_ucq_on(&plan, &mut DbIndex::over(&oracle_store)),
+            engine::eval_ucq_gated(&plan, &mut DbIndex::over(&oracle_store), 1),
             "engine disagrees with the reference oracle on the {oracle_n}-edge prefix"
         );
         eprintln!("[ingest_bench] join_chain2: oracle agreement pinned on {oracle_n}-edge prefix");
 
-        let expected = engine::eval_ucq_on(&plan, &mut DbIndex::over(&store));
+        let expected = engine::eval_ucq_gated(&plan, &mut DbIndex::over(&store), 1);
         let reps = if quick { 5 } else { 2 };
         let seq_wall = time_reps(reps, || {
-            std::hint::black_box(engine::eval_ucq_on(&plan, &mut DbIndex::over(&store)));
+            std::hint::black_box(engine::eval_ucq_gated(&plan, &mut DbIndex::over(&store), 1));
         });
         eprintln!(
             "[ingest_bench] join_chain2 n={join_n} seq: {seq_wall}us ({} answers)",

@@ -31,11 +31,11 @@
 //!   parallelized grounding sweep in `ca_gdm::certain`.
 //!
 //! Each case runs the reference path, the engine with the **greedy**
-//! plan, the engine with the **cost-based** plan (`seq`), and the
-//! engine through the gated parallel entry (`par`,
-//! [`engine::eval_ucq_gated`]: requested width clamped to the host
-//! cores, partitioning only where the cost model prices the join above
-//! the spawn overhead). Identical greedy and cost plans share one
+//! plan (compiled under the uninformed `CostModel::default()`, which
+//! keeps the greedy order), the engine with the **cost-based** plan
+//! (`seq`, width 1), and the engine through the gated parallel entry
+//! (`par`, [`engine::eval_ucq_gated`] at a fixed width, partitioning
+//! only where the cost model prices the join above the spawn overhead). Identical greedy and cost plans share one
 //! measurement — re-timing byte-identical plans only adds noise. The
 //! `plan_cold_ns`/`plan_warm_ns` columns time plan *acquisition*: a
 //! cold statistics-read + compile versus a [`PlanCache`] hit at the
@@ -53,7 +53,7 @@ use ca_core::store::FactStore;
 use ca_core::value::Value;
 use ca_gdm::certain as gdm_certain;
 use ca_query::certain::{adequate_pool, ucq_constants};
-use ca_query::engine::{self, CompiledUcq, CostModel, DbIndex, PlanCache};
+use ca_query::engine::{self, CompiledUcq, CompletionSpace, CostModel, DbIndex, PlanCache};
 use ca_query::reference;
 use ca_query::{Atom, ConjunctiveQuery, Term, UnionQuery};
 use ca_relational::database::NaiveDatabase;
@@ -179,7 +179,8 @@ fn time_reps_ns(reps: u32, mut f: impl FnMut()) -> u128 {
 
 /// The optimizer-facing measurements of one join-family case.
 struct OptCols {
-    /// Engine wall time with the stats-blind greedy plan.
+    /// Engine wall time with the stats-blind greedy plan (compiled under
+    /// `CostModel::default()`).
     greedy_us: u128,
     /// Cold plan acquisition: a [`PlanCache`] miss — read statistics,
     /// compile cost-based, install the entry.
@@ -196,12 +197,12 @@ fn plan_times(q: &UnionQuery, schema: &Schema, st: &FactStore) -> (u128, u128) {
     let reps = 2000;
     let cold = time_reps_ns(reps, || {
         let mut cache = PlanCache::new();
-        std::hint::black_box(cache.get_or_compile(q, schema, st).unwrap());
+        std::hint::black_box(cache.get_or_compile(q, None, schema, st).unwrap());
     });
     let mut cache = PlanCache::new();
-    cache.get_or_compile(q, schema, st).unwrap();
+    cache.get_or_compile(q, None, schema, st).unwrap();
     let warm = time_reps_ns(reps, || {
-        std::hint::black_box(cache.get_or_compile(q, schema, st).unwrap());
+        std::hint::black_box(cache.get_or_compile(q, None, schema, st).unwrap());
     });
     (cold, warm)
 }
@@ -261,16 +262,16 @@ fn join_case(
 ) {
     let st = to_store(db);
     let model = CostModel::from_store(&st);
-    let plan_greedy = CompiledUcq::compile(q, &db.schema).unwrap();
+    let plan_greedy = CompiledUcq::compile_costed(q, &db.schema, &CostModel::default()).unwrap();
     let plan_cost = CompiledUcq::compile_costed(q, &db.schema, &model).unwrap();
     let same_plan = format!("{plan_greedy:?}") == format!("{plan_cost:?}");
 
     let expected = reference::eval_ucq(q, db);
-    let got = engine::eval_ucq_on(&plan_cost, &mut DbIndex::new(db));
+    let got = engine::eval_ucq_gated(&plan_cost, &mut DbIndex::new(db), 1);
     assert_eq!(expected, got, "{family} cost-plan disagreement");
     assert_eq!(
         expected,
-        engine::eval_ucq_on(&plan_greedy, &mut DbIndex::new(db)),
+        engine::eval_ucq_gated(&plan_greedy, &mut DbIndex::new(db), 1),
         "{family} greedy-plan disagreement"
     );
     let par_got = engine::eval_ucq_gated(&plan_cost, &mut DbIndex::new(db), PART_WIDTH);
@@ -280,13 +281,17 @@ fn join_case(
         std::hint::black_box(reference::eval_ucq(q, db));
     });
     let seq_us = time_reps(reps, || {
-        std::hint::black_box(engine::eval_ucq_on(&plan_cost, &mut DbIndex::new(db)));
+        std::hint::black_box(engine::eval_ucq_gated(&plan_cost, &mut DbIndex::new(db), 1));
     });
     let greedy_us = if same_plan {
         seq_us
     } else {
         time_reps(reps, || {
-            std::hint::black_box(engine::eval_ucq_on(&plan_greedy, &mut DbIndex::new(db)));
+            std::hint::black_box(engine::eval_ucq_gated(
+                &plan_greedy,
+                &mut DbIndex::new(db),
+                1,
+            ));
         })
     };
     let par_us = time_reps(reps, || {
@@ -404,29 +409,31 @@ fn main() {
         let q = chain_query(2);
         let st = to_store(&db);
         let model = CostModel::from_store(&st);
-        let plan_greedy = CompiledUcq::compile(&q, &db.schema).unwrap();
+        let plan_greedy =
+            CompiledUcq::compile_costed(&q, &db.schema, &CostModel::default()).unwrap();
         let plan = CompiledUcq::compile_costed(&q, &db.schema, &model).unwrap();
         let same_plan = format!("{plan_greedy:?}") == format!("{plan:?}");
         let pool = adequate_pool(&db, &ucq_constants(&q));
+        let space = CompletionSpace::new(&db, &pool);
         let expected = legacy_certain_table(&q, &db);
-        let got = engine::certain_table_over(&plan, &db, &pool, 1);
+        let got = engine::certain_table_over(&plan, &space, 1);
         assert_eq!(expected, got, "certain sweep disagreement");
         let reps = if k >= 5 { 1 } else { 3 };
         let ref_us = time_reps(reps, || {
             std::hint::black_box(legacy_certain_table(&q, &db));
         });
         let seq_us = time_reps(reps, || {
-            std::hint::black_box(engine::certain_table_over(&plan, &db, &pool, 1));
+            std::hint::black_box(engine::certain_table_over(&plan, &space, 1));
         });
         let greedy_us = if same_plan {
             seq_us
         } else {
             time_reps(reps, || {
-                std::hint::black_box(engine::certain_table_over(&plan_greedy, &db, &pool, 1));
+                std::hint::black_box(engine::certain_table_over(&plan_greedy, &space, 1));
             })
         };
         let par_us = time_reps(reps, || {
-            std::hint::black_box(engine::certain_table_over(&plan, &db, &pool, par_threads));
+            std::hint::black_box(engine::certain_table_over(&plan, &space, par_threads));
         });
         let (plan_cold_ns, plan_warm_ns) = plan_times(&q, &db.schema, &st);
         rows.push(Row {

@@ -21,6 +21,7 @@ use ca_core::value::Value;
 use ca_gdm::database::GenDb;
 use ca_gdm::schema::GenSchema;
 use ca_query::ast::UnionQuery;
+use ca_query::engine::{eval_ucq_gated, CompiledUcq, DbIndex};
 
 use crate::chase::{chase_with, ChaseConfig, ChaseOutcome, Egd};
 use crate::mapping::{Mapping, Rule};
@@ -45,7 +46,8 @@ pub enum CertainAnswers {
 
 /// Certain answers of `q` for source `d` under `mapping` with target
 /// constraints `tgds`/`egds`: chase the canonical solution, evaluate
-/// naively, keep the null-free rows.
+/// naively, keep the null-free rows. Both the chase and the evaluation
+/// run at `cfg.threads`.
 pub fn certain_answers_via_chase(
     mapping: &Mapping,
     d: &GenDb,
@@ -65,7 +67,9 @@ pub fn certain_answers_via_chase(
     let Some(rel) = ca_gdm::encode::relational_view(&universal) else {
         return CertainAnswers::Unsupported;
     };
-    let naive = ca_query::eval::eval_ucq(q, &rel);
+    let mut idx = DbIndex::new(&rel);
+    let plan = CompiledUcq::compile_lenient(q, &rel.schema, idx.model());
+    let naive = eval_ucq_gated(&plan, &mut idx, cfg.threads);
     CertainAnswers::Table(
         naive
             .into_iter()

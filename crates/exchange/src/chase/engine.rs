@@ -8,7 +8,7 @@
 //! * each rule body is validated once up front and then planned through
 //!   a revision-keyed [`PlanCache`]: a round evaluates one *pinned*
 //!   cost-based join plan per body atom
-//!   ([`CompiledCq::compile_costed_pinned`] under the store's live
+//!   ([`CompiledCq::compile_costed`] under the store's live
 //!   statistics), with the pinned atom ranging over the **delta** — the
 //!   facts added or rewritten since the previous round — so any match
 //!   using at least one new fact is found exactly through the plan
@@ -65,8 +65,8 @@ use ca_core::value::{Null, NullGen, Value};
 use ca_gdm::database::GenDb;
 use ca_query::ast::{Atom, ConjunctiveQuery, Term, UnionQuery};
 use ca_query::engine::{
-    eval_prepared_into, eval_seeded_into, prepare_cq, CompiledCq, CompiledUcq, DbIndex, PlanCache,
-    PreparedCq, PART_MIN_WORK,
+    eval_prepared_into, eval_seeded_into, prepare_cq, CompiledCq, CompiledUcq, CostModel, DbIndex,
+    PlanCache, PreparedCq, PART_MIN_WORK,
 };
 use ca_relational::schema::Schema;
 
@@ -138,7 +138,8 @@ impl CertPlans {
         );
         let mut plans = Vec::with_capacity(q.atoms.len());
         for pin in 0..q.atoms.len() {
-            let plan = CompiledCq::compile_pinned(&q, schema, pin).ok()?;
+            let plan =
+                CompiledCq::compile_costed(&q, schema, Some(pin), &CostModel::default()).ok()?;
             let rel = schema.relation(&q.atoms[pin].rel)?;
             plans.push((rel, plan));
         }
@@ -190,7 +191,7 @@ fn compile_rule(rule: &Rule, schema: &Schema, certify: bool) -> Option<CompiledR
     let body_q = ConjunctiveQuery::with_head(head_vars.clone(), pattern_atoms(&rule.body));
     // Validate once: a body that compiles unpinned compiles under every
     // pin and every join order.
-    CompiledCq::compile(&body_q, schema).ok()?;
+    CompiledCq::compile_costed(&body_q, schema, None, &CostModel::default()).ok()?;
     let rels = body_q
         .atoms
         .iter()
@@ -202,7 +203,7 @@ fn compile_rule(rule: &Rule, schema: &Schema, certify: bool) -> Option<CompiledR
         None
     };
     let head_q = ConjunctiveQuery::with_head(head_vars, pattern_atoms(&rule.head));
-    CompiledCq::compile(&head_q, schema).ok()?;
+    CompiledCq::compile_costed(&head_q, schema, None, &CostModel::default()).ok()?;
     let mut head_facts = Vec::with_capacity(rule.head.n_nodes());
     for (label, row) in rule.head.labels.iter().zip(&rule.head.data) {
         let rel = schema.relation(rule.head.schema.label_name(*label))?;
@@ -234,7 +235,7 @@ fn compile_egd(egd: &Egd, schema: &Schema, certify: bool) -> Option<CompiledEgd>
     // Validate once unpinned: an equated null not bound by the body (or
     // an empty body) is an UnboundHeadVar — fall back to the reference,
     // which owns the semantics of such malformed egds.
-    CompiledCq::compile(&q, schema).ok()?;
+    CompiledCq::compile_costed(&q, schema, None, &CostModel::default()).ok()?;
     let rels = q
         .atoms
         .iter()
@@ -982,7 +983,7 @@ fn egd_matches(
     let mut est_work = 0.0f64;
     for &(e, p, rel) in &plan_seeds {
         let plan = cache
-            .get_or_compile_pinned(&egds[e].body_u, p, schema, store)
+            .get_or_compile(&egds[e].body_u, Some(p), schema, store)
             // ca-lint: allow(L002, reason = "compile_egd validated this body against the schema; plan errors are independent of pin and statistics")
             .expect("egd bodies are validated at compile time");
         let cq = sole(&plan);
@@ -1080,7 +1081,7 @@ fn tgd_matches(
     let mut est_work = 0.0f64;
     for &(r, p, rel) in &plan_seeds {
         let plan = cache
-            .get_or_compile_pinned(&rules[r].body_u, p, schema, store)
+            .get_or_compile(&rules[r].body_u, Some(p), schema, store)
             // ca-lint: allow(L002, reason = "compile_rule validated this body against the schema; plan errors are independent of pin and statistics")
             .expect("rule bodies are validated at compile time");
         let cq = sole(&plan);
@@ -1149,7 +1150,7 @@ fn tgd_matches(
         .iter()
         .map(|&r| {
             let plan = cache
-                .get_or_compile(&rules[r].head_u, schema, store)
+                .get_or_compile(&rules[r].head_u, None, schema, store)
                 // ca-lint: allow(L002, reason = "compile_rule validated this head against the schema; plan errors are independent of statistics")
                 .expect("rule heads are validated at compile time");
             let prepared = prepare_cq(sole(&plan), idx);

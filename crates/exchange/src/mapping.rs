@@ -16,6 +16,7 @@ use std::collections::BTreeSet;
 use ca_core::value::{Null, NullGen, Value};
 use ca_gdm::database::GenDb;
 use ca_gdm::hom::gdm_hom_csp;
+use ca_query::engine::{eval_cq_into, CompiledCq, CostModel, DbIndex};
 
 /// A single exchange rule `I → I′`.
 #[derive(Clone, Debug)]
@@ -51,10 +52,12 @@ fn compiled_body_matches(rule: &Rule, d: &GenDb, limit: usize) -> Option<Vec<Vec
         nulls.iter().map(|nl| nl.0).collect(),
         crate::chase::engine::pattern_atoms(&rule.body),
     );
-    let plan = ca_query::engine::CompiledCq::compile(&q, &db.schema).ok()?;
-    let mut idx = ca_query::engine::DbIndex::new(&db);
+    // The uninformed model keeps the greedy order: the enumeration order
+    // is observable here (fresh-null numbering, `limit` truncation).
+    let plan = CompiledCq::compile_costed(&q, &db.schema, None, &CostModel::default()).ok()?;
+    let mut idx = DbIndex::new(&db);
     let mut out: Vec<Vec<(Null, Value)>> = Vec::new();
-    ca_query::engine::eval_cq_into(&plan, &mut idx, &mut |row| {
+    eval_cq_into(&plan, &mut idx, &mut |row| {
         // Truncate at `limit` exactly as `Csp::solve_all(limit)` does.
         if out.len() >= limit {
             return false;

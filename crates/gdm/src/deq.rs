@@ -53,33 +53,33 @@ pub fn build_deq(d: &GenDb) -> NaiveDatabase {
     }
     let rel_refs: Vec<(&str, usize)> = rels.iter().map(|(n, a)| (n.as_str(), *a)).collect();
     let schema = Schema::from_relations(&rel_refs);
-    let mut db = NaiveDatabase::new(schema);
     let node = |v: u32| Value::Const(v as i64);
+    let mut facts: Vec<(String, Vec<Value>)> = Vec::new();
     for v in 0..d.n_nodes() as u32 {
-        db.add("node", vec![node(v)]);
-        db.add(
-            &label_rel(d.schema.label_name(d.labels[v as usize])),
+        facts.push(("node".into(), vec![node(v)]));
+        facts.push((
+            label_rel(d.schema.label_name(d.labels[v as usize])),
             vec![node(v)],
-        );
+        ));
     }
     for (rel, t) in &d.tuples {
-        db.add(
-            &sigma_rel(d.schema.relation_name(*rel)),
+        facts.push((
+            sigma_rel(d.schema.relation_name(*rel)),
             t.iter().map(|&v| node(v)).collect(),
-        );
+        ));
     }
     for x in 0..d.n_nodes() as u32 {
         for y in 0..d.n_nodes() as u32 {
             for i in 0..d.data[x as usize].len() {
                 for j in 0..d.data[y as usize].len() {
                     if d.data[x as usize][i] == d.data[y as usize][j] {
-                        db.add(&eq_rel(i, j), vec![node(x), node(y)]);
+                        facts.push((eq_rel(i, j), vec![node(x), node(y)]));
                     }
                 }
             }
         }
     }
-    db
+    NaiveDatabase::from_named(schema, facts)
 }
 
 /// Translate an FO(S, ∼) sentence into ordinary FO over the `D_EQ`

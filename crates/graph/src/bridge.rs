@@ -21,11 +21,11 @@ pub const EDGE_REL: &str = "E";
 /// information in a database; a vertex with no edges imposes nothing).
 pub fn graph_to_table(g: &Digraph) -> NaiveDatabase {
     let schema = Schema::from_relations(&[(EDGE_REL, 2)]);
-    let mut db = NaiveDatabase::new(schema);
-    for &(u, v) in &g.edges {
-        db.add(EDGE_REL, vec![Value::null(u), Value::null(v)]);
-    }
-    db
+    let facts = g
+        .edges
+        .iter()
+        .map(|&(u, v)| (EDGE_REL, vec![Value::null(u), Value::null(v)]));
+    NaiveDatabase::from_named(schema, facts)
 }
 
 /// Decode a null-only binary table back into a digraph (nulls become

@@ -114,8 +114,9 @@ pub fn certain_answer_bool(q: &UnionQuery, db: &NaiveDatabase) -> bool {
 /// falsifying completion.
 pub fn certain_answer_bool_with(q: &UnionQuery, db: &NaiveDatabase, threads: usize) -> bool {
     let pool = adequate_pool(db, &ucq_constants(q));
-    let plan = CompiledUcq::compile_lenient(q, &db.schema);
-    engine::certain_bool_over(&plan, db, &pool, threads)
+    let space = CompletionSpace::new(db, &pool);
+    let plan = CompiledUcq::compile_lenient(q, &db.schema, &space.model());
+    engine::certain_bool_over(&plan, &space, threads)
 }
 
 /// Brute-force Boolean certain answer for an arbitrary FO sentence,
@@ -156,17 +157,21 @@ pub fn certain_table(q: &UnionQuery, db: &NaiveDatabase) -> BTreeSet<Vec<Value>>
 }
 
 /// [`certain_table`] with an explicit sweep thread count. The query
-/// compiles once (the plan is shared by every completion); the grid is
-/// swept in parallel, intersecting per-thread and exiting early once the
-/// accumulator empties. The result is identical for every thread count.
+/// compiles once, priced off the base instance (the plan is shared by
+/// every completion); the grid is swept in parallel, intersecting
+/// per-thread and exiting early once the accumulator empties. Each
+/// completion evaluates at width 1 — `threads` bounds the whole sweep —
+/// except on a one-completion grid. The result is identical for every
+/// thread count.
 pub fn certain_table_with(
     q: &UnionQuery,
     db: &NaiveDatabase,
     threads: usize,
 ) -> BTreeSet<Vec<Value>> {
     let pool = adequate_pool(db, &ucq_constants(q));
-    let plan = CompiledUcq::compile_lenient(q, &db.schema);
-    engine::certain_table_over(&plan, db, &pool, threads)
+    let space = CompletionSpace::new(db, &pool);
+    let plan = CompiledUcq::compile_lenient(q, &db.schema, &space.model());
+    engine::certain_table_over(&plan, &space, threads)
 }
 
 /// The three equivalent statements of Proposition 2 for a Boolean CQ `Q`

@@ -26,6 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use ca_cert::{
     CertAtom, CertCq, CertFact, CertQuery, CertTerm, CertainVerdictCert, MatchCert, NonCertainCert,
 };
+use ca_core::exec;
 use ca_core::value::{Null, Value};
 use ca_relational::database::NaiveDatabase;
 
@@ -71,13 +72,19 @@ pub fn db_facts(db: &NaiveDatabase) -> BTreeSet<CertFact> {
 }
 
 /// Find a naïve match of disjunct `d` (nulls as values) whose projected
-/// head row equals `row`, as a full body assignment. Deterministic: the
-/// augmented query's first answer row in `BTreeSet` order wins.
-fn naive_match(q: &UnionQuery, db: &NaiveDatabase, row: &[Value]) -> Option<MatchCert> {
+/// head row equals `row`, as a full body assignment, evaluating at
+/// `width`. Deterministic: the augmented query's first answer row in
+/// `BTreeSet` order wins, whatever the width.
+fn naive_match(
+    q: &UnionQuery,
+    db: &NaiveDatabase,
+    row: &[Value],
+    width: usize,
+) -> Option<MatchCert> {
     for (d, cq) in q.disjuncts.iter().enumerate() {
         let vars = cq.body_vars();
         let aug = ConjunctiveQuery::with_head(vars.clone(), cq.atoms.clone());
-        let Ok(answers) = engine::eval_cq(&aug, db) else {
+        let Ok(answers) = engine::eval_cq(&aug, db, width) else {
             continue;
         };
         for assignment_row in answers {
@@ -113,20 +120,23 @@ fn decode_valuation(nulls: &[Null], pool: &[i64], i: u128) -> Vec<(Null, i64)> {
 }
 
 /// Scan the completion grid sequentially for one completion falsifying
-/// `test`, returning its decoded valuation. Sequential on purpose:
-/// emission must be deterministic (lowest falsifying index wins) and runs
-/// only after the parallel sweep has already said "not certain".
+/// `test` on `q`'s lenient plan (priced off the base instance),
+/// returning its decoded valuation. Sequential on purpose: emission must
+/// be deterministic (lowest falsifying index wins) and runs only after
+/// the parallel sweep has already said "not certain".
 fn falsifying_valuation(
     db: &NaiveDatabase,
     pool: &[i64],
-    test: impl Fn(&mut DbIndex<'_>) -> bool,
+    q: &UnionQuery,
+    test: impl Fn(&CompiledUcq, &mut DbIndex<'_>) -> bool,
 ) -> Option<Vec<(Null, i64)>> {
     let space = CompletionSpace::new(db, pool);
+    let plan = CompiledUcq::compile_lenient(q, &db.schema, &space.model());
     let nulls: Vec<Null> = db.nulls().into_iter().collect();
     let mut i: u128 = 0;
     while i < space.len() {
         let mut idx = DbIndex::from_store(space.completion_store(i));
-        if !test(&mut idx) {
+        if !test(&plan, &mut idx) {
             return Some(decode_valuation(&nulls, pool, i));
         }
         i += 1;
@@ -152,19 +162,16 @@ pub fn certain_bool_certified(
     let verdict = certain_answer_bool_with(q, db, threads);
     let bq = boolean_form(q);
     if verdict {
-        let cert = naive_match(&bq, db, &[]).map(CertainVerdictCert::Certain);
+        let cert = naive_match(&bq, db, &[], threads).map(CertainVerdictCert::Certain);
         return (true, cert);
     }
     let pool = adequate_pool(db, &ucq_constants(q));
-    let plan = CompiledUcq::compile_lenient(&bq, &db.schema);
-    let cert = falsifying_valuation(db, &pool, |idx| engine::eval_ucq_bool_on(&plan, idx)).map(
-        |valuation| {
-            CertainVerdictCert::NonCertain(NonCertainCert {
-                valuation,
-                row: vec![],
-            })
-        },
-    );
+    let cert = falsifying_valuation(db, &pool, &bq, engine::eval_ucq_bool_on).map(|valuation| {
+        CertainVerdictCert::NonCertain(NonCertainCert {
+            valuation,
+            row: vec![],
+        })
+    });
     (false, cert)
 }
 
@@ -200,7 +207,7 @@ pub fn certain_table_certified(
     let table = certain_table_with(q, db, threads);
     let certs = table
         .iter()
-        .filter_map(|row| naive_match(q, db, row).map(|c| (row.clone(), c)))
+        .filter_map(|row| naive_match(q, db, row, threads).map(|c| (row.clone(), c)))
         .collect();
     (table, certs)
 }
@@ -210,9 +217,8 @@ pub fn certain_table_certified(
 /// `None` when `row` is in fact certain (or the space is vacuous).
 pub fn refute_row(q: &UnionQuery, db: &NaiveDatabase, row: &[Value]) -> Option<NonCertainCert> {
     let pool = adequate_pool(db, &ucq_constants(q));
-    let plan = CompiledUcq::compile_lenient(q, &db.schema);
-    falsifying_valuation(db, &pool, |idx| {
-        engine::eval_ucq_on(&plan, idx).contains(row)
+    falsifying_valuation(db, &pool, q, |plan, idx| {
+        engine::eval_ucq_gated(plan, idx, exec::width()).contains(row)
     })
     .map(|valuation| NonCertainCert {
         valuation,

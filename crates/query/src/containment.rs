@@ -24,8 +24,9 @@ use crate::tableau::tableau;
 /// (Chandra–Merlin, via the compiled engine).
 pub fn cq_contained_in(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery, schema: &Schema) -> bool {
     let d1 = tableau(q1, schema);
-    let plan = CompiledUcq::compile_lenient(&UnionQuery::single(q2.clone()), &d1.schema);
-    engine::eval_ucq_bool_on(&plan, &mut DbIndex::new(&d1))
+    let mut idx = DbIndex::new(&d1);
+    let plan = CompiledUcq::compile_lenient(&UnionQuery::single(q2.clone()), schema, idx.model());
+    engine::eval_ucq_bool_on(&plan, &mut idx)
 }
 
 #[cfg(test)]

@@ -88,34 +88,14 @@ impl PlanCache {
     }
 
     /// The plan for `q` against `store`'s schema-compatible contents:
-    /// served from cache when `q` was already compiled at the store's
-    /// current revision, else compiled cost-based from the store's
-    /// statistics and cached. Identical to cold
-    /// [`CompiledUcq::compile_costed`] in every observable way.
+    /// served from cache when `q` was already compiled with this `pin`
+    /// at the store's current revision, else compiled cost-based from
+    /// the store's statistics and cached. With `pin`, every disjunct is
+    /// compiled with that atom forced to the front (the seeded-evaluation
+    /// contract of [`super::plan::CompiledCq::compile_costed`]); the pin
+    /// is part of the cache key. Identical to a cold compile in every
+    /// observable way.
     pub fn get_or_compile(
-        &mut self,
-        q: &UnionQuery,
-        schema: &Schema,
-        store: &FactStore,
-    ) -> Result<Arc<CompiledUcq>, PlanError> {
-        self.lookup(q, None, schema, store)
-    }
-
-    /// Like [`Self::get_or_compile`], but every disjunct is compiled
-    /// with atom `pin` forced to the front (the seeded-evaluation
-    /// contract of [`super::plan::CompiledCq::compile_pinned`]). The pin
-    /// is part of the cache key.
-    pub fn get_or_compile_pinned(
-        &mut self,
-        q: &UnionQuery,
-        pin: usize,
-        schema: &Schema,
-        store: &FactStore,
-    ) -> Result<Arc<CompiledUcq>, PlanError> {
-        self.lookup(q, Some(pin), schema, store)
-    }
-
-    fn lookup(
         &mut self,
         q: &UnionQuery,
         pin: Option<usize>,
@@ -135,17 +115,7 @@ impl PlanCache {
         }
         self.misses += 1;
         let model = CostModel::from_store(store);
-        let plan = Arc::new(match pin {
-            None => CompiledUcq::compile_costed(q, schema, &model)?,
-            Some(p) => {
-                let disjuncts = q
-                    .disjuncts
-                    .iter()
-                    .map(|d| super::plan::CompiledCq::compile_costed_pinned(d, schema, p, &model))
-                    .collect::<Result<Vec<_>, _>>()?;
-                CompiledUcq::from_parts(disjuncts, q.head_arity())
-            }
-        });
+        let plan = Arc::new(CompiledUcq::compile_each(q, schema, pin, &model)?);
         let entries = self.buckets.entry(fp).or_default();
         // One entry per (query, pin): a revision bump replaces, so the
         // cache stays bounded by the number of distinct queries.
@@ -207,8 +177,8 @@ mod tests {
     fn second_lookup_is_a_hit_and_shares_the_plan() {
         let (s, schema, q) = setup();
         let mut cache = PlanCache::new();
-        let a = cache.get_or_compile(&q, &schema, &s).unwrap();
-        let b = cache.get_or_compile(&q, &schema, &s).unwrap();
+        let a = cache.get_or_compile(&q, None, &schema, &s).unwrap();
+        let b = cache.get_or_compile(&q, None, &schema, &s).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "hit must share the compiled plan");
         assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 1, 1));
     }
@@ -217,12 +187,12 @@ mod tests {
     fn store_mutation_invalidates_exactly() {
         let (mut s, schema, q) = setup();
         let mut cache = PlanCache::new();
-        let a = cache.get_or_compile(&q, &schema, &s).unwrap();
+        let a = cache.get_or_compile(&q, None, &schema, &s).unwrap();
         let r = s.relation("R").unwrap();
         assert!(s
             .insert(r, &[Value::Const(100), Value::Const(101)])
             .is_some());
-        let b = cache.get_or_compile(&q, &schema, &s).unwrap();
+        let b = cache.get_or_compile(&q, None, &schema, &s).unwrap();
         assert!(!Arc::ptr_eq(&a, &b), "revision bump must recompile");
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.len(), 1, "the stale entry is replaced, not kept");
@@ -230,7 +200,7 @@ mod tests {
         assert!(s
             .insert(r, &[Value::Const(100), Value::Const(101)])
             .is_none());
-        let c = cache.get_or_compile(&q, &schema, &s).unwrap();
+        let c = cache.get_or_compile(&q, None, &schema, &s).unwrap();
         assert!(Arc::ptr_eq(&b, &c));
     }
 
@@ -238,13 +208,13 @@ mod tests {
     fn pinned_and_unpinned_plans_are_distinct_entries() {
         let (s, schema, q) = setup();
         let mut cache = PlanCache::new();
-        let plain = cache.get_or_compile(&q, &schema, &s).unwrap();
-        let pinned = cache.get_or_compile_pinned(&q, 1, &schema, &s).unwrap();
+        let plain = cache.get_or_compile(&q, None, &schema, &s).unwrap();
+        let pinned = cache.get_or_compile(&q, Some(1), &schema, &s).unwrap();
         assert!(!Arc::ptr_eq(&plain, &pinned));
         assert_eq!(cache.len(), 2);
         assert!(Arc::ptr_eq(
             &pinned,
-            &cache.get_or_compile_pinned(&q, 1, &schema, &s).unwrap()
+            &cache.get_or_compile(&q, Some(1), &schema, &s).unwrap()
         ));
     }
 
@@ -256,7 +226,7 @@ mod tests {
             vec![V(0)],
         )]));
         let mut cache = PlanCache::new();
-        assert!(cache.get_or_compile(&bad, &schema, &s).is_err());
+        assert!(cache.get_or_compile(&bad, None, &schema, &s).is_err());
         assert!(cache.is_empty());
     }
 }

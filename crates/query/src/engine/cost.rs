@@ -66,7 +66,11 @@ impl RelEst {
 /// A priced view of one store's relations, indexed by `Symbol::index()`.
 /// Build one per [`super::DbIndex`] (lazily, see `DbIndex::model`) — it
 /// is a snapshot: later store mutations do not flow in.
-#[derive(Clone, Debug)]
+///
+/// [`CostModel::default`] is the *uninformed* model for plans compiled
+/// before any store exists: every relation prices as one row, every
+/// order costs the same, and compilation keeps the greedy order.
+#[derive(Clone, Debug, Default)]
 pub struct CostModel {
     rels: Vec<RelEst>,
 }

@@ -324,7 +324,7 @@ mod tests {
             vec![0],
             vec![Atom::new("R", vec![Term::Var(0), Term::Const(2)])],
         );
-        let plan = CompiledCq::compile(&q, &db.schema).unwrap();
+        let plan = CompiledCq::compile_costed(&q, &db.schema, None, &CostModel::default()).unwrap();
         // Three facts < INDEX_THRESHOLD: no table is built.
         let access = idx.ensure_cq(&plan);
         assert_eq!(access.len(), 1);
@@ -348,7 +348,7 @@ mod tests {
             vec![0],
             vec![Atom::new("R", vec![Term::Var(0), Term::Const(2)])],
         );
-        let plan = CompiledCq::compile(&q, &db.schema).unwrap();
+        let plan = CompiledCq::compile_costed(&q, &db.schema, None, &CostModel::default()).unwrap();
         let access = idx.ensure_cq(&plan);
         assert_eq!(access.len(), 1);
         let handle = access[0].handle;
@@ -381,7 +381,7 @@ mod tests {
             vec![0],
             vec![Atom::new("R", vec![Term::Var(0), Term::Const(999)])],
         );
-        let plan = CompiledCq::compile(&q, &db.schema).unwrap();
+        let plan = CompiledCq::compile_costed(&q, &db.schema, None, &CostModel::default()).unwrap();
         let access = idx.ensure_cq(&plan);
         let [IdKey::Const(id)] = access[0].key.as_slice() else {
             panic!("one const key part expected");

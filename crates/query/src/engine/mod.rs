@@ -6,7 +6,8 @@
 //! with three layers:
 //!
 //! 1. **plan compilation** ([`plan`]) — each CQ compiles once into a
-//!    join plan: greedy bound-variable atom ordering, constants and
+//!    join plan: atom ordering priced by a [`CostModel`] (the greedy
+//!    bound-variable order under the uninformed default), constants and
 //!    repeated variables pushed into per-atom matchers, variables
 //!    resolved to dense slots, schema errors rejected with a typed
 //!    [`PlanError`];
@@ -39,28 +40,15 @@ use std::collections::BTreeSet;
 use ca_core::store::ValueId;
 use ca_core::value::Value;
 use ca_relational::database::NaiveDatabase;
-use ca_relational::schema::Schema;
 
 use crate::ast::{ConjunctiveQuery, UnionQuery};
 
 pub use cache::PlanCache;
 pub use cost::CostModel;
 pub use index::DbIndex;
-pub use par::{
-    eval_cq_partitioned, eval_ucq_gated, eval_ucq_partitioned, PART_MIN_ROWS, PART_MIN_WORK,
-};
+pub use par::{eval_ucq_gated, eval_ucq_partitioned, PART_MIN_ROWS, PART_MIN_WORK};
 pub use plan::{CompiledCq, CompiledUcq, PlanError};
 pub use sweep::CompletionSpace;
-
-/// Compile a CQ against a schema.
-pub fn compile_cq(q: &ConjunctiveQuery, schema: &Schema) -> Result<CompiledCq, PlanError> {
-    CompiledCq::compile(q, schema)
-}
-
-/// Compile a UCQ against a schema.
-pub fn compile_ucq(q: &UnionQuery, schema: &Schema) -> Result<CompiledUcq, PlanError> {
-    CompiledUcq::compile(q, schema)
-}
 
 /// Reusable per-evaluation buffers threaded through [`exec`]: the
 /// variable-slot assignment (interned value ids), one probe-key scratch
@@ -297,11 +285,12 @@ pub fn eval_prepared_into(
 /// plan ranges over `seed` — an explicit list of live *row ids of its
 /// relation* (a fact id translates via `FactStore::fact_row`), typically
 /// a delta set — instead of the whole relation, and the remaining atoms
-/// join as usual. Compile the plan with [`CompiledCq::compile_pinned`]
-/// so the atom to be seeded leads the join order; nothing precedes it,
-/// so its key parts are all constants, verified inline per candidate
-/// here (a `Slot` part is treated as unmatched rather than trusted). A
-/// plan with no atoms emits nothing: there is no atom to seed.
+/// join as usual. Compile the plan with a `pin` on the atom to be seeded
+/// ([`CompiledCq::compile_costed`]) so it leads the join order; nothing
+/// precedes it, so its key parts are all constants, verified inline per
+/// candidate here (a `Slot` part is treated as unmatched rather than
+/// trusted). A plan with no atoms emits nothing: there is no atom to
+/// seed.
 pub fn eval_seeded_into(
     cq: &CompiledCq,
     prep: &PreparedCq,
@@ -347,19 +336,6 @@ pub fn eval_seeded_into(
     }
 }
 
-/// Evaluate a compiled UCQ on a prepared index: the union of the
-/// disjuncts' answer sets. Each disjunct takes the partitioned path
-/// ([`par`]) when the default width (`CA_THREADS`) is above one and its
-/// leading relation is large enough — contents are identical either
-/// way, so the knob only moves wall time.
-pub fn eval_ucq_on(ucq: &CompiledUcq, idx: &mut DbIndex<'_>) -> BTreeSet<Vec<Value>> {
-    let mut out = BTreeSet::new();
-    for d in &ucq.disjuncts {
-        par::eval_cq_auto_into(d, idx, &mut out);
-    }
-    out
-}
-
 /// Boolean evaluation of a compiled UCQ on a prepared index, with early
 /// exit on the first witness.
 pub fn eval_ucq_bool_on(ucq: &CompiledUcq, idx: &mut DbIndex<'_>) -> bool {
@@ -373,32 +349,34 @@ pub fn eval_ucq_bool_on(ucq: &CompiledUcq, idx: &mut DbIndex<'_>) -> bool {
     })
 }
 
-/// Compile and evaluate a UCQ over a database (nulls as values). The
-/// plan is cost-based: ordered by the index's statistics model (falling
-/// back to the greedy order out of the DP's reach) — plan choice, never
-/// answers, depends on the statistics.
-pub fn eval_ucq(q: &UnionQuery, db: &NaiveDatabase) -> Result<BTreeSet<Vec<Value>>, PlanError> {
+/// Compile and evaluate a UCQ over a database (nulls as values) at
+/// `width` (see [`eval_ucq_gated`]). The plan is cost-based: ordered by
+/// the index's statistics model (falling back to the greedy order out
+/// of the DP's reach) — plan choice, never answers, depends on the
+/// statistics, and the width moves wall time only.
+pub fn eval_ucq(
+    q: &UnionQuery,
+    db: &NaiveDatabase,
+    width: usize,
+) -> Result<BTreeSet<Vec<Value>>, PlanError> {
     let mut idx = DbIndex::new(db);
     let plan = CompiledUcq::compile_costed(q, &db.schema, idx.model())?;
-    Ok(eval_ucq_on(&plan, &mut idx))
+    Ok(eval_ucq_gated(&plan, &mut idx, width))
 }
 
 /// Compile (cost-based) and evaluate a CQ over a database (nulls as
-/// values). Takes the same automatic partitioned route as
-/// [`eval_ucq_on`] — the `CA_THREADS` knob applies here too and only
-/// moves wall time.
+/// values) at `width`: [`eval_ucq`] on the one-disjunct union.
 pub fn eval_cq(
     q: &ConjunctiveQuery,
     db: &NaiveDatabase,
+    width: usize,
 ) -> Result<BTreeSet<Vec<Value>>, PlanError> {
-    let mut idx = DbIndex::new(db);
-    let plan = CompiledCq::compile_costed(q, &db.schema, idx.model())?;
-    let mut out = BTreeSet::new();
-    par::eval_cq_auto_into(&plan, &mut idx, &mut out);
-    Ok(out)
+    eval_ucq(&UnionQuery::single(q.clone()), db, width)
 }
 
 /// Compile (cost-based) and evaluate a Boolean UCQ over a database.
+/// Takes no width: Boolean evaluation exits on the first witness and
+/// never partitions.
 pub fn eval_ucq_bool(q: &UnionQuery, db: &NaiveDatabase) -> Result<bool, PlanError> {
     let mut idx = DbIndex::new(db);
     let plan = CompiledUcq::compile_costed(q, &db.schema, idx.model())?;
@@ -406,8 +384,14 @@ pub fn eval_ucq_bool(q: &UnionQuery, db: &NaiveDatabase) -> Result<bool, PlanErr
 }
 
 /// Brute-force certain answers of a compiled UCQ: intersect the answer
-/// tables over every completion of `db` into `pool`, sweeping the
-/// completion grid with `threads` workers and early exit.
+/// tables over every completion in `space`, sweeping the completion
+/// grid with `threads` workers and early exit. Price the plan off
+/// [`CompletionSpace::model`]: every completion shares the base
+/// instance's shape.
+///
+/// The sweep never nests fan-outs: each completion evaluates at width 1,
+/// except on a one-completion grid (no nulls), where the sweep has
+/// nothing to split and the lone evaluation gets the whole `threads`.
 ///
 /// Semantics at the corners (unit-tested below): when the completion
 /// space is **empty** (nulls present but an empty pool) the intersection
@@ -416,27 +400,24 @@ pub fn eval_ucq_bool(q: &UnionQuery, db: &NaiveDatabase) -> Result<bool, PlanErr
 /// returns **true**. With no nulls the sole completion is `db` itself.
 pub fn certain_table_over(
     plan: &CompiledUcq,
-    db: &NaiveDatabase,
-    pool: &[i64],
+    space: &CompletionSpace<'_>,
     threads: usize,
 ) -> BTreeSet<Vec<Value>> {
-    let space = CompletionSpace::new(db, pool);
+    let width = if space.len() == 1 { threads } else { 1 };
     sweep::parallel_intersect(space.len(), threads, |i| {
-        eval_ucq_on(plan, &mut DbIndex::from_store(space.completion_store(i)))
+        eval_ucq_gated(
+            plan,
+            &mut DbIndex::from_store(space.completion_store(i)),
+            width,
+        )
     })
     .unwrap_or_default()
 }
 
-/// Brute-force Boolean certain answer of a compiled UCQ over a pool:
-/// true iff every completion satisfies the query. Vacuously true when
-/// the completion space is empty.
-pub fn certain_bool_over(
-    plan: &CompiledUcq,
-    db: &NaiveDatabase,
-    pool: &[i64],
-    threads: usize,
-) -> bool {
-    let space = CompletionSpace::new(db, pool);
+/// Brute-force Boolean certain answer of a compiled UCQ over a
+/// completion space: true iff every completion satisfies the query.
+/// Vacuously true when the completion space is empty.
+pub fn certain_bool_over(plan: &CompiledUcq, space: &CompletionSpace<'_>, threads: usize) -> bool {
     sweep::parallel_all(space.len(), threads, |i| {
         eval_ucq_bool_on(plan, &mut DbIndex::from_store(space.completion_store(i)))
     })
@@ -467,7 +448,7 @@ mod tests {
             2,
             &[&[c(1), n(1)], &[n(1), c(2)], &[c(3), c(9)], &[n(2), c(9)]],
         );
-        assert_eq!(eval_ucq(&q, &db).unwrap(), reference::eval_ucq(&q, &db));
+        assert_eq!(eval_ucq(&q, &db, 1).unwrap(), reference::eval_ucq(&q, &db));
     }
 
     #[test]
@@ -475,7 +456,7 @@ mod tests {
         // Q(x, x) ← R(x, x): both the check path and head repetition.
         let q = ConjunctiveQuery::with_head(vec![0, 0], vec![Atom::new("R", vec![V(0), V(0)])]);
         let db = table("R", 2, &[&[n(1), n(1)], &[n(1), n(2)], &[c(4), c(4)]]);
-        let ans = eval_cq(&q, &db).unwrap();
+        let ans = eval_cq(&q, &db, 1).unwrap();
         assert_eq!(ans, reference::eval_cq(&q, &db));
         assert_eq!(ans.len(), 2);
         assert!(ans.contains(&vec![n(1), n(1)]));
@@ -490,7 +471,7 @@ mod tests {
         let db = table("R", 1, &[&[c(1)]]);
         // Engine: typed error at plan-compile time.
         assert_eq!(
-            eval_cq(&q, &db).unwrap_err(),
+            eval_cq(&q, &db, 1).unwrap_err(),
             PlanError::UnknownRelation { rel: "S".into() }
         );
         // Reference oracle: silently no matches (pinned legacy quirk).
@@ -505,7 +486,7 @@ mod tests {
         let q = ConjunctiveQuery::boolean(vec![Atom::new("R", vec![V(0), V(1), V(2)])]);
         let db = table("R", 2, &[&[c(1), c(2)]]);
         assert_eq!(
-            eval_cq(&q, &db).unwrap_err(),
+            eval_cq(&q, &db, 1).unwrap_err(),
             PlanError::ArityMismatch {
                 rel: "R".into(),
                 declared: 2,
@@ -524,10 +505,10 @@ mod tests {
         // including the empty one. Engine and reference agree.
         let q = ConjunctiveQuery::boolean(vec![]);
         let db = table("R", 1, &[]);
-        assert_eq!(eval_cq(&q, &db).unwrap(), BTreeSet::from([vec![]]));
+        assert_eq!(eval_cq(&q, &db, 1).unwrap(), BTreeSet::from([vec![]]));
         assert_eq!(reference::eval_cq(&q, &db), BTreeSet::from([vec![]]));
         let nonempty = table("R", 1, &[&[c(1)]]);
-        assert_eq!(eval_cq(&q, &nonempty).unwrap(), BTreeSet::from([vec![]]));
+        assert_eq!(eval_cq(&q, &nonempty, 1).unwrap(), BTreeSet::from([vec![]]));
     }
 
     #[test]
@@ -535,7 +516,7 @@ mod tests {
         // The empty disjunction is false: no rows, Boolean false.
         let q = UnionQuery::new(vec![]);
         let db = table("R", 1, &[&[c(1)]]);
-        assert!(eval_ucq(&q, &db).unwrap().is_empty());
+        assert!(eval_ucq(&q, &db, 1).unwrap().is_empty());
         assert!(!eval_ucq_bool(&q, &db).unwrap());
         assert!(reference::eval_ucq(&q, &db).is_empty());
     }
@@ -554,10 +535,11 @@ mod tests {
             vec![0],
             vec![Atom::new("R", vec![V(0)])],
         ));
-        let plan = compile_ucq(&q, &db.schema).unwrap();
+        let space = CompletionSpace::new(&db, &[]);
+        let plan = CompiledUcq::compile_costed(&q, &db.schema, &space.model()).unwrap();
         for threads in [1, 4] {
-            assert!(certain_table_over(&plan, &db, &[], threads).is_empty());
-            assert!(certain_bool_over(&plan, &db, &[], threads));
+            assert!(certain_table_over(&plan, &space, threads).is_empty());
+            assert!(certain_bool_over(&plan, &space, threads));
         }
     }
 
@@ -573,7 +555,8 @@ mod tests {
             ],
         );
         let db = table("R", 2, &[&[c(1), c(2)], &[c(2), c(3)], &[c(3), c(4)]]);
-        let plan = CompiledCq::compile_pinned(&q, &db.schema, 0).unwrap();
+        let plan =
+            CompiledCq::compile_costed(&q, &db.schema, Some(0), &CostModel::default()).unwrap();
         let mut idx = DbIndex::new(&db);
         let prep = prepare_cq(&plan, &mut idx);
         let seed_id = db
@@ -594,7 +577,7 @@ mod tests {
             full.insert(row.to_vec());
             true
         });
-        assert_eq!(full, eval_cq(&q, &db).unwrap());
+        assert_eq!(full, eval_cq(&q, &db, 1).unwrap());
     }
 
     #[test]
@@ -609,13 +592,13 @@ mod tests {
                 Atom::new("R", vec![V(1), V(2)]),
             ],
         );
-        let plan = CompiledCq::compile(&q, &db.schema).unwrap();
+        let plan = CompiledCq::compile_costed(&q, &db.schema, None, idx.model()).unwrap();
         let mut out = BTreeSet::new();
         eval_cq_into(&plan, &mut idx, &mut |row| {
             out.insert(row.to_vec());
             true
         });
-        assert_eq!(out, eval_cq(&q, &db).unwrap());
+        assert_eq!(out, eval_cq(&q, &db, 1).unwrap());
     }
 
     #[test]
@@ -629,7 +612,8 @@ mod tests {
         ));
         let db = table("R", 2, &[&[c(1), n(1)], &[n(1), c(2)], &[n(2), c(5)]]);
         let pool = [1, 2, 5, 6, 7];
-        let plan = compile_ucq(&q, &db.schema).unwrap();
+        let space = CompletionSpace::new(&db, &pool);
+        let plan = CompiledUcq::compile_costed(&q, &db.schema, &space.model()).unwrap();
         // Legacy: materialize all completions, intersect reference answers.
         let mut legacy: Option<BTreeSet<Vec<Value>>> = None;
         for r in db.completions_over(&pool) {
@@ -641,7 +625,7 @@ mod tests {
         }
         let legacy = legacy.unwrap();
         for threads in [1, 3, 4] {
-            assert_eq!(certain_table_over(&plan, &db, &pool, threads), legacy);
+            assert_eq!(certain_table_over(&plan, &space, threads), legacy);
         }
     }
 }

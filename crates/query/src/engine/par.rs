@@ -17,13 +17,14 @@
 //! byte-identical at every worker count and under every scheduling, the
 //! same contract the sweep and the chase pin.
 //!
-//! The partitioned path engages automatically (see [`eval_cq_auto_into`])
-//! only when the default width ([`ca_core::exec::width`]) is above one
-//! **and** the leading
-//! relation has at least [`PART_MIN_ROWS`] live rows: below that,
-//! spawning costs more than the join. Boolean evaluation never
-//! partitions — it early-exits on the first witness, which a fan-out
-//! would only delay.
+//! [`eval_ucq_gated`] is the one table runner: every UCQ evaluation
+//! hands it an explicit width, and a disjunct takes the partitioned path
+//! only when that width is above one **and** the cost model says the
+//! join can amortize the fan-out (a leading relation of at least
+//! [`PART_MIN_ROWS`] live rows and [`PART_MIN_WORK`] estimated work).
+//! Nothing here reads the process default width. Boolean evaluation
+//! never partitions — it early-exits on the first witness, which a
+//! fan-out would only delay.
 
 use std::collections::BTreeSet;
 
@@ -89,7 +90,7 @@ fn eval_cq_seq_into(cq: &CompiledCq, idx: &mut DbIndex<'_>, out: &mut BTreeSet<V
 /// hash partitions on separate workers, inserting every head row into
 /// `out`. Result contents are identical to [`eval_cq_into`] for every
 /// `parts`, including `parts == 1`.
-pub fn eval_cq_partitioned_into(
+fn eval_cq_partitioned_into(
     cq: &CompiledCq,
     idx: &mut DbIndex<'_>,
     parts: usize,
@@ -140,21 +141,11 @@ pub fn eval_cq_partitioned_into(
     });
 }
 
-/// Partitioned evaluation into a fresh answer set. See
-/// [`eval_cq_partitioned_into`].
-pub fn eval_cq_partitioned(
-    cq: &CompiledCq,
-    idx: &mut DbIndex<'_>,
-    parts: usize,
-) -> BTreeSet<Vec<Value>> {
-    let mut out = BTreeSet::new();
-    eval_cq_partitioned_into(cq, idx, parts, &mut out);
-    out
-}
-
-/// Evaluate a compiled UCQ partitioned: the union of the disjuncts'
-/// partitioned answer sets. Identical contents to
-/// [`super::eval_ucq_on`] at every `parts`.
+/// Evaluate a compiled UCQ with every disjunct forced onto the
+/// partitioned path, cost gate or not: the union of the disjuncts'
+/// partitioned answer sets. Identical contents to [`eval_ucq_gated`] at
+/// every `parts`; the width pins and benches use it to exercise the
+/// partitioned path on inputs the gate would keep sequential.
 pub fn eval_ucq_partitioned(
     ucq: &super::CompiledUcq,
     idx: &mut DbIndex<'_>,
@@ -167,29 +158,12 @@ pub fn eval_ucq_partitioned(
     out
 }
 
-/// The automatic route every UCQ disjunct takes ([`super::eval_ucq_on`]):
-/// partition when [`exec::width`] is above one and the leading
-/// relation is at least [`PART_MIN_ROWS`] live rows, else run the
-/// sequential engine. Both arms produce identical contents, so the knob
-/// only moves wall time.
-pub(crate) fn eval_cq_auto_into(
-    cq: &CompiledCq,
-    idx: &mut DbIndex<'_>,
-    out: &mut BTreeSet<Vec<Value>>,
-) {
-    let parts = exec::width();
-    if parts > 1 && worth_partitioning(cq, idx) {
-        eval_cq_partitioned_into(cq, idx, parts, out);
-    } else {
-        eval_cq_seq_into(cq, idx, out);
-    }
-}
-
-/// Cost-gated partitioned UCQ evaluation, the entry the benches and
-/// batch callers use: each disjunct partitions only when
+/// Evaluate a compiled UCQ: the union of the disjuncts' answer sets.
+/// The one table runner — every UCQ evaluation comes through here with
+/// its width. Each disjunct partitions only when `width > 1` and
 /// `worth_partitioning` says the join can amortize the fan-out, at
-/// `width` honoured verbatim. Contents are identical to
-/// [`super::eval_ucq_on`] at every width.
+/// `width` honoured verbatim; otherwise it runs the sequential engine.
+/// Contents are identical at every width.
 pub fn eval_ucq_gated(
     ucq: &super::CompiledUcq,
     idx: &mut DbIndex<'_>,
@@ -210,7 +184,7 @@ pub fn eval_ucq_gated(
 mod tests {
     use super::*;
     use crate::ast::{Atom, ConjunctiveQuery, Term, UnionQuery};
-    use crate::engine::{compile_cq, compile_ucq, eval_ucq_on};
+    use crate::engine::{CompiledUcq, CostModel};
     use ca_relational::database::build::{c, n};
     use ca_relational::database::NaiveDatabase;
     use Term::{Const as C, Var as V};
@@ -228,6 +202,16 @@ mod tests {
         db
     }
 
+    fn plan_of(q: &ConjunctiveQuery, db: &NaiveDatabase) -> CompiledCq {
+        CompiledCq::compile_costed(q, &db.schema, None, &CostModel::default()).unwrap()
+    }
+
+    fn partitioned(cq: &CompiledCq, db: &NaiveDatabase, parts: usize) -> BTreeSet<Vec<Value>> {
+        let mut out = BTreeSet::new();
+        eval_cq_partitioned_into(cq, &mut DbIndex::new(db), parts, &mut out);
+        out
+    }
+
     #[test]
     fn partitioned_matches_sequential_at_every_width() {
         let db = chain_db(600);
@@ -238,16 +222,11 @@ mod tests {
                 Atom::new("S", vec![V(1), V(2)]),
             ],
         );
-        let plan = compile_cq(&q, &db.schema).unwrap();
-        let seq = crate::engine::eval_cq(&q, &db).unwrap();
+        let plan = plan_of(&q, &db);
+        let seq = crate::engine::eval_cq(&q, &db, 1).unwrap();
         assert!(!seq.is_empty());
         for parts in [1, 2, 4, 7] {
-            let mut idx = DbIndex::new(&db);
-            assert_eq!(
-                eval_cq_partitioned(&plan, &mut idx, parts),
-                seq,
-                "width {parts}"
-            );
+            assert_eq!(partitioned(&plan, &db, parts), seq, "width {parts}");
         }
     }
 
@@ -256,23 +235,18 @@ mod tests {
         let db = chain_db(100);
         // Leading atom binds nothing: all-constant atom → row-id fallback.
         let q = ConjunctiveQuery::boolean(vec![Atom::new("R", vec![C(0), C(0)])]);
-        let plan = compile_cq(&q, &db.schema).unwrap();
-        let seq = crate::engine::eval_cq(&q, &db).unwrap();
+        let plan = plan_of(&q, &db);
+        let seq = crate::engine::eval_cq(&q, &db, 1).unwrap();
         for parts in [1, 3] {
-            let mut idx = DbIndex::new(&db);
-            assert_eq!(eval_cq_partitioned(&plan, &mut idx, parts), seq);
+            assert_eq!(partitioned(&plan, &db, parts), seq);
         }
         // Empty conjunction: the vacuous row survives partitioning.
-        let empty = compile_cq(&ConjunctiveQuery::boolean(vec![]), &db.schema).unwrap();
-        let mut idx = DbIndex::new(&db);
-        assert_eq!(
-            eval_cq_partitioned(&empty, &mut idx, 4),
-            BTreeSet::from([vec![]])
-        );
+        let empty = plan_of(&ConjunctiveQuery::boolean(vec![]), &db);
+        assert_eq!(partitioned(&empty, &db, 4), BTreeSet::from([vec![]]));
     }
 
     #[test]
-    fn ucq_partitioned_matches_eval_ucq_on() {
+    fn ucq_partitioned_matches_gated() {
         let db = chain_db(400);
         let q = UnionQuery::new(vec![
             ConjunctiveQuery::with_head(
@@ -284,8 +258,8 @@ mod tests {
             ),
             ConjunctiveQuery::with_head(vec![0, 0], vec![Atom::new("S", vec![C(2), V(0)])]),
         ]);
-        let plan = compile_ucq(&q, &db.schema).unwrap();
-        let seq = eval_ucq_on(&plan, &mut DbIndex::new(&db));
+        let plan = CompiledUcq::compile_costed(&q, &db.schema, &CostModel::default()).unwrap();
+        let seq = eval_ucq_gated(&plan, &mut DbIndex::new(&db), 1);
         for parts in [2, 5] {
             assert_eq!(
                 eval_ucq_partitioned(&plan, &mut DbIndex::new(&db), parts),

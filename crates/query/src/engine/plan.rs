@@ -2,9 +2,10 @@
 //!
 //! Compilation resolves relation names against a schema (rejecting
 //! unknown names and arity mismatches with a typed [`PlanError`] instead
-//! of the reference evaluator's silent empty answer), picks a greedy join
-//! order (most-bound atom first), and classifies every atom position into
-//! one of three roles:
+//! of the reference evaluator's silent empty answer), picks a join order
+//! priced by a [`CostModel`] (under the uninformed default model that is
+//! the greedy most-bound-atom-first order), and classifies every atom
+//! position into one of three roles:
 //!
 //! * part of the **probe key** — a constant, or a variable bound by an
 //!   earlier atom in the plan: these positions form the atom's *index
@@ -117,61 +118,19 @@ pub struct CompiledCq {
 }
 
 impl CompiledCq {
-    /// Compile a CQ against a schema.
-    pub fn compile(q: &ConjunctiveQuery, schema: &Schema) -> Result<CompiledCq, PlanError> {
-        Self::compile_with_pin(q, schema, None)
-    }
-
-    /// Compile with atom `pin` forced to the front of the join order (the
-    /// remaining atoms are ordered greedily as usual). Because nothing
-    /// precedes the pinned atom, its key parts are all constants, which
-    /// is what lets [`crate::engine::eval_seeded_into`] range it over an
-    /// explicit fact list (a semi-naive delta set) instead of the whole
-    /// relation. A `pin` out of range is ignored (plain compilation).
-    pub fn compile_pinned(
-        q: &ConjunctiveQuery,
-        schema: &Schema,
-        pin: usize,
-    ) -> Result<CompiledCq, PlanError> {
-        Self::compile_with_pin(q, schema, Some(pin))
-    }
-
-    /// The column position of the leading atom's first variable binding,
-    /// if any — the join-key column the morsel-driven paths
-    /// (`crate::engine::par`, the chase's partitioned match phase)
-    /// hash-partition the leading atom's row lists on. `None` when the
-    /// plan is empty or its leading atom binds nothing (all-constant
-    /// atom); callers then partition by row id instead.
-    pub fn lead_bind_pos(&self) -> Option<usize> {
-        self.atoms
-            .first()
-            .and_then(|a| a.binds.first().map(|&(pos, _)| pos))
-    }
-
-    /// Compile with the join order picked by a [`CostModel`]: the DP
-    /// searches all orders where that is affordable and falls back to
-    /// the greedy order beyond its width limit. Plan *choice* changes
-    /// with the model; plan *answers* never do.
+    /// Compile a CQ against a schema — the one plan compiler. The join
+    /// order is picked by `model`: the DP searches all orders where that
+    /// is affordable and falls back to the greedy order beyond its width
+    /// limit. Plan *choice* changes with the model; plan *answers* never
+    /// do. Under [`CostModel::default`] every order prices the same, so
+    /// the hysteresis keeps the greedy order exactly.
+    ///
+    /// With `pin` naming an atom, that atom is forced to the front of the
+    /// join order. Because nothing precedes it, its key parts are all
+    /// constants, which is what lets [`crate::engine::eval_seeded_into`]
+    /// range it over an explicit fact list (a semi-naive delta set)
+    /// instead of the whole relation. A `pin` out of range is ignored.
     pub fn compile_costed(
-        q: &ConjunctiveQuery,
-        schema: &Schema,
-        model: &CostModel,
-    ) -> Result<CompiledCq, PlanError> {
-        Self::compile_with_model(q, schema, None, model)
-    }
-
-    /// Cost-based compilation with atom `pin` forced to the front (the
-    /// seeded-evaluation contract of [`Self::compile_pinned`] holds).
-    pub fn compile_costed_pinned(
-        q: &ConjunctiveQuery,
-        schema: &Schema,
-        pin: usize,
-        model: &CostModel,
-    ) -> Result<CompiledCq, PlanError> {
-        Self::compile_with_model(q, schema, Some(pin), model)
-    }
-
-    fn compile_with_model(
         q: &ConjunctiveQuery,
         schema: &Schema,
         pin: Option<usize>,
@@ -196,14 +155,16 @@ impl CompiledCq {
         }
     }
 
-    fn compile_with_pin(
-        q: &ConjunctiveQuery,
-        schema: &Schema,
-        pin: Option<usize>,
-    ) -> Result<CompiledCq, PlanError> {
-        let rels = resolve_rels(q, schema)?;
-        let order = join_order(q, pin);
-        build(q, &rels, &order)
+    /// The column position of the leading atom's first variable binding,
+    /// if any — the join-key column the morsel-driven paths
+    /// (`crate::engine::par`, the chase's partitioned match phase)
+    /// hash-partition the leading atom's row lists on. `None` when the
+    /// plan is empty or its leading atom binds nothing (all-constant
+    /// atom); callers then partition by row id instead.
+    pub fn lead_bind_pos(&self) -> Option<usize> {
+        self.atoms
+            .first()
+            .and_then(|a| a.binds.first().map(|&(pos, _)| pos))
     }
 }
 
@@ -295,7 +256,8 @@ fn build(q: &ConjunctiveQuery, rels: &[Symbol], order: &[usize]) -> Result<Compi
 /// picks), tie-breaking on fewer fresh variables, then original order.
 /// Deterministic by construction. When `pin` names an atom, that atom is
 /// forced to the front and the greedy order continues from its variable
-/// bindings.
+/// bindings. Only [`CompiledCq::compile_costed`] calls this: it is the
+/// cost DP's fallback past its reach and the hysteresis baseline.
 fn join_order(q: &ConjunctiveQuery, pin: Option<usize>) -> Vec<usize> {
     let n = q.atoms.len();
     let mut bound: Vec<u32> = Vec::new();
@@ -357,29 +319,6 @@ pub struct CompiledUcq {
 }
 
 impl CompiledUcq {
-    /// Compile every disjunct; fails on the first disjunct that does not
-    /// fit the schema.
-    pub fn compile(q: &UnionQuery, schema: &Schema) -> Result<CompiledUcq, PlanError> {
-        let disjuncts = q
-            .disjuncts
-            .iter()
-            .map(|d| CompiledCq::compile(d, schema))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(CompiledUcq {
-            disjuncts,
-            head_arity: q.head_arity(),
-        })
-    }
-
-    /// Assemble a UCQ plan from already-compiled disjuncts (the plan
-    /// cache's pinned path compiles disjunct-by-disjunct).
-    pub(crate) fn from_parts(disjuncts: Vec<CompiledCq>, head_arity: usize) -> CompiledUcq {
-        CompiledUcq {
-            disjuncts,
-            head_arity,
-        }
-    }
-
     /// Compile every disjunct with cost-based ordering; fails on the
     /// first disjunct that does not fit the schema.
     pub fn compile_costed(
@@ -387,10 +326,21 @@ impl CompiledUcq {
         schema: &Schema,
         model: &CostModel,
     ) -> Result<CompiledUcq, PlanError> {
+        Self::compile_each(q, schema, None, model)
+    }
+
+    /// [`Self::compile_costed`] with atom `pin` of every disjunct forced
+    /// to the front (see [`CompiledCq::compile_costed`]).
+    pub(crate) fn compile_each(
+        q: &UnionQuery,
+        schema: &Schema,
+        pin: Option<usize>,
+        model: &CostModel,
+    ) -> Result<CompiledUcq, PlanError> {
         let disjuncts = q
             .disjuncts
             .iter()
-            .map(|d| CompiledCq::compile_costed(d, schema, model))
+            .map(|d| CompiledCq::compile_costed(d, schema, pin, model))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(CompiledUcq {
             disjuncts,
@@ -403,12 +353,12 @@ impl CompiledUcq {
     /// an atom over an unknown relation (or at the wrong arity) silently
     /// matches nothing, so the whole disjunct contributes no answers.
     /// Used by the legacy [`crate::eval`] entry points.
-    pub fn compile_lenient(q: &UnionQuery, schema: &Schema) -> CompiledUcq {
+    pub fn compile_lenient(q: &UnionQuery, schema: &Schema, model: &CostModel) -> CompiledUcq {
         CompiledUcq {
             disjuncts: q
                 .disjuncts
                 .iter()
-                .filter_map(|d| CompiledCq::compile(d, schema).ok())
+                .filter_map(|d| CompiledCq::compile_costed(d, schema, None, model).ok())
                 .collect(),
             head_arity: q.head_arity(),
         }
@@ -435,6 +385,10 @@ mod tests {
 
     fn schema() -> Schema {
         Schema::from_relations(&[("R", 2), ("S", 1)])
+    }
+
+    fn compile(q: &ConjunctiveQuery, pin: Option<usize>) -> Result<CompiledCq, PlanError> {
+        CompiledCq::compile_costed(q, &schema(), pin, &CostModel::default())
     }
 
     #[test]
@@ -464,7 +418,7 @@ mod tests {
             Atom::new("R", vec![V(1), C(3)]),
         ]);
         assert_eq!(join_order(&q, Some(0))[0], 0);
-        let plan = CompiledCq::compile_pinned(&q, &schema(), 0).unwrap();
+        let plan = compile(&q, Some(0)).unwrap();
         assert!(plan.atoms[0]
             .key
             .iter()
@@ -476,7 +430,7 @@ mod tests {
     #[test]
     fn repeated_var_within_atom_becomes_check() {
         let q = ConjunctiveQuery::boolean(vec![Atom::new("R", vec![V(0), V(0)])]);
-        let plan = CompiledCq::compile(&q, &schema()).unwrap();
+        let plan = compile(&q, None).unwrap();
         assert_eq!(plan.atoms[0].binds.len(), 1);
         assert_eq!(plan.atoms[0].checks.len(), 1);
         assert!(plan.atoms[0].sig.is_empty());
@@ -486,7 +440,7 @@ mod tests {
     fn unknown_relation_is_a_typed_error() {
         let q = ConjunctiveQuery::boolean(vec![Atom::new("T", vec![V(0)])]);
         assert_eq!(
-            CompiledCq::compile(&q, &schema()).unwrap_err(),
+            compile(&q, None).unwrap_err(),
             PlanError::UnknownRelation { rel: "T".into() }
         );
     }
@@ -495,7 +449,7 @@ mod tests {
     fn arity_mismatch_is_a_typed_error() {
         let q = ConjunctiveQuery::boolean(vec![Atom::new("R", vec![V(0)])]);
         assert_eq!(
-            CompiledCq::compile(&q, &schema()).unwrap_err(),
+            compile(&q, None).unwrap_err(),
             PlanError::ArityMismatch {
                 rel: "R".into(),
                 declared: 2,
@@ -511,7 +465,7 @@ mod tests {
             atoms: vec![Atom::new("S", vec![V(0)])],
         };
         assert_eq!(
-            CompiledCq::compile(&q, &schema()).unwrap_err(),
+            compile(&q, None).unwrap_err(),
             PlanError::UnboundHeadVar { var: 7 }
         );
     }
@@ -522,8 +476,54 @@ mod tests {
             ConjunctiveQuery::boolean(vec![Atom::new("S", vec![V(0)])]),
             ConjunctiveQuery::boolean(vec![Atom::new("T", vec![V(0)])]),
         ]);
-        assert!(CompiledUcq::compile(&q, &schema()).is_err());
-        let lenient = CompiledUcq::compile_lenient(&q, &schema());
+        let model = CostModel::default();
+        assert!(CompiledUcq::compile_costed(&q, &schema(), &model).is_err());
+        let lenient = CompiledUcq::compile_lenient(&q, &schema(), &model);
         assert_eq!(lenient.disjuncts.len(), 1);
+    }
+
+    #[test]
+    fn uninformed_model_keeps_the_greedy_order() {
+        // Under `CostModel::default()` every relation prices as one row,
+        // so all orders cost the same and the hysteresis keeps the
+        // greedy order; past the DP's reach both sides are greedy
+        // anyway. This is the property that lets every plan compile
+        // through the one cost-based entry.
+        use ca_relational::generate::Rng;
+        let schema = Schema::from_relations(&[("R", 2), ("S", 1), ("T", 3)]);
+        let names = [("R", 2), ("S", 1), ("T", 3)];
+        let model = CostModel::default();
+        let mut rng = Rng::new(0x5eed);
+        for n_atoms in 1..=13usize {
+            for _ in 0..24 {
+                let n_vars = 1 + rng.below(2 * n_atoms as u64) as u32;
+                let atoms: Vec<Atom> = (0..n_atoms)
+                    .map(|_| {
+                        let (rel, arity) = names[rng.below(names.len() as u64) as usize];
+                        let args = (0..arity)
+                            .map(|_| {
+                                if rng.chance(1, 5) {
+                                    C(rng.below(4) as i64)
+                                } else {
+                                    V(rng.below(n_vars as u64) as u32)
+                                }
+                            })
+                            .collect();
+                        Atom::new(rel, args)
+                    })
+                    .collect();
+                let q = ConjunctiveQuery::boolean(atoms);
+                let rels = resolve_rels(&q, &schema).unwrap();
+                for pin in std::iter::once(None).chain((0..n_atoms).map(Some)) {
+                    let costed = CompiledCq::compile_costed(&q, &schema, pin, &model).unwrap();
+                    let greedy = build(&q, &rels, &join_order(&q, pin)).unwrap();
+                    assert_eq!(
+                        format!("{costed:?}"),
+                        format!("{greedy:?}"),
+                        "{n_atoms} atoms, pin {pin:?}: {q:?}"
+                    );
+                }
+            }
+        }
     }
 }

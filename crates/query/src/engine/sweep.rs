@@ -22,6 +22,8 @@ use ca_core::value::{Null, Value};
 use ca_relational::database::{NaiveDatabase, Valuation};
 use ca_relational::store_bridge::to_store;
 
+use super::cost::CostModel;
+
 /// The space of completions of `db` into a constant pool, addressable by
 /// linear index: completion `i` grounds null `j` (in sorted null order)
 /// to `pool[d_j]` where `d_0 d_1 …` are the base-`|pool|` digits of `i`.
@@ -87,6 +89,13 @@ impl<'a> CompletionSpace<'a> {
             .checked_pow(exp)
             // ca-lint: allow(L002, reason = "deliberate documented panic (see # Panics): a sweep past u128 completions can never terminate, so failing fast beats a wrong answer")
             .expect("completion space exceeds u128 — brute force is hopeless here")
+    }
+
+    /// The cost model priced off the base instance — the one store the
+    /// space holds. Every completion shares its shape, so plans for the
+    /// sweep compile against this model once.
+    pub fn model(&self) -> CostModel {
+        CostModel::from_store(&self.base)
     }
 
     /// Is the space empty (nulls present but an empty pool)?

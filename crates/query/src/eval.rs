@@ -4,68 +4,57 @@
 //!
 //! * CQs/UCQs over naïve databases, **treating nulls as ordinary values**
 //!   (`⊥₁ = ⊥₁`, `⊥₁ ≠ ⊥₂`, `⊥₁ ≠ c`) — the first phase of naïve
-//!   evaluation. These entry points delegate to the compiled
-//!   [`crate::engine`] (plan once, probe lazily-built hash indices) via
-//!   *lenient* compilation, which exactly reproduces the historical
-//!   semantics: an atom over an unknown relation, or at the wrong arity,
-//!   silently matches nothing (the CLI depends on this — a query over a
-//!   relation absent from the database prints nothing and exits 0).
-//!   Callers that want schema errors surfaced should use the engine's
-//!   strict API ([`crate::engine::eval_ucq`] and friends) instead. The
-//!   original nested-loop evaluator survives as [`crate::reference`].
+//!   evaluation. Each entry point is one cost-based *lenient*
+//!   compilation (priced off the database's own statistics) plus one
+//!   engine run — [`crate::engine::eval_ucq_gated`] at the default width
+//!   (`CA_THREADS`) for tables, [`crate::engine::eval_ucq_bool_on`] for
+//!   Booleans; a CQ runs as the one-disjunct union. Lenient compilation
+//!   exactly reproduces the historical semantics: an atom over an
+//!   unknown relation, or at the wrong arity, silently matches nothing
+//!   (the CLI depends on this — a query over a relation absent from the
+//!   database prints nothing and exits 0). Callers that want schema
+//!   errors surfaced should use the engine's strict API
+//!   ([`crate::engine::eval_ucq`] and friends) instead. The original
+//!   nested-loop evaluator survives as [`crate::reference`].
 //! * Full FO over databases under active-domain semantics, likewise
 //!   treating any nulls present as distinct fresh values (evaluating FO
 //!   "as if nulls were values" is exactly what Proposition 1 analyzes).
 
 use std::collections::BTreeSet;
 
+use ca_core::exec;
 use ca_core::value::Value;
 use ca_relational::database::NaiveDatabase;
 
 use crate::ast::{ConjunctiveQuery, Fo, Term, UnionQuery};
-use crate::engine::{self, CompiledCq, DbIndex};
+use crate::engine::{self, CompiledUcq, DbIndex};
 
 /// Evaluate a CQ over a database treating nulls as values. Returns the set
 /// of head-variable bindings (each a tuple of values, possibly containing
 /// nulls). A Boolean query returns `{[]}` for true, `{}` for false.
 pub fn eval_cq(q: &ConjunctiveQuery, db: &NaiveDatabase) -> BTreeSet<Vec<Value>> {
-    let Ok(plan) = CompiledCq::compile(q, &db.schema) else {
-        return BTreeSet::new(); // lenient: unknown relation / arity → no matches
-    };
-    let mut idx = DbIndex::new(db);
-    let mut out = BTreeSet::new();
-    engine::eval_cq_into(&plan, &mut idx, &mut |row| {
-        out.insert(row.to_vec());
-        true
-    });
-    out
+    eval_ucq(&UnionQuery::single(q.clone()), db)
 }
 
-/// Evaluate a UCQ (union of the disjuncts' answers).
+/// Evaluate a UCQ (union of the disjuncts' answers) at the default
+/// width.
 pub fn eval_ucq(q: &UnionQuery, db: &NaiveDatabase) -> BTreeSet<Vec<Value>> {
-    let plan = engine::CompiledUcq::compile_lenient(q, &db.schema);
-    engine::eval_ucq_on(&plan, &mut DbIndex::new(db))
+    let mut idx = DbIndex::new(db);
+    let plan = CompiledUcq::compile_lenient(q, &db.schema, idx.model());
+    engine::eval_ucq_gated(&plan, &mut idx, exec::width())
 }
 
 /// Boolean CQ evaluation (nulls as values).
 pub fn eval_cq_bool(q: &ConjunctiveQuery, db: &NaiveDatabase) -> bool {
     assert!(q.is_boolean());
-    let Ok(plan) = CompiledCq::compile(q, &db.schema) else {
-        return false;
-    };
-    let mut idx = DbIndex::new(db);
-    let mut hit = false;
-    engine::eval_cq_into(&plan, &mut idx, &mut |_| {
-        hit = true;
-        false
-    });
-    hit
+    eval_ucq_bool(&UnionQuery::single(q.clone()), db)
 }
 
 /// Boolean UCQ evaluation (nulls as values).
 pub fn eval_ucq_bool(q: &UnionQuery, db: &NaiveDatabase) -> bool {
-    let plan = engine::CompiledUcq::compile_lenient(q, &db.schema);
-    engine::eval_ucq_bool_on(&plan, &mut DbIndex::new(db))
+    let mut idx = DbIndex::new(db);
+    let plan = CompiledUcq::compile_lenient(q, &db.schema, idx.model());
+    engine::eval_ucq_bool_on(&plan, &mut idx)
 }
 
 /// Evaluate an FO sentence over a database under active-domain semantics,

@@ -22,8 +22,7 @@ use crate::ast::{Atom, ConjunctiveQuery, Term};
 /// `schema`.
 pub fn tableau(q: &ConjunctiveQuery, schema: &Schema) -> NaiveDatabase {
     assert!(q.is_boolean(), "tableaux are defined for Boolean CQs");
-    let mut db = NaiveDatabase::new(schema.clone());
-    for atom in &q.atoms {
+    let facts = q.atoms.iter().map(|atom| {
         let args: Vec<Value> = atom
             .args
             .iter()
@@ -32,9 +31,9 @@ pub fn tableau(q: &ConjunctiveQuery, schema: &Schema) -> NaiveDatabase {
                 Term::Const(c) => Value::Const(*c),
             })
             .collect();
-        db.add(&atom.rel, args);
-    }
-    db
+        (&atom.rel, args)
+    });
+    NaiveDatabase::from_named(schema.clone(), facts)
 }
 
 /// The canonical Boolean CQ `Q_D` of a naïve database: each null `⊥ᵢ`

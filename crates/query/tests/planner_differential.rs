@@ -1,6 +1,7 @@
 //! Differential tests for the cost-based planner and the plan cache:
 //! on random schemas, databases, and (U)CQs, the reference evaluator,
-//! the greedy-planned engine, the cost-planned engine, the cached plan,
+//! the greedy-planned engine (the uninformed `CostModel::default()`),
+//! the cost-planned engine, the cached plan,
 //! and every partition width must produce identical answers — plan
 //! choice moves wall time only, never contents. Plan choice itself is
 //! pinned deterministic, and the cache is exercised against an evolving
@@ -8,9 +9,10 @@
 
 use std::collections::BTreeSet;
 
+use ca_core::exec;
 use ca_core::value::Value;
 use ca_query::engine::{
-    eval_ucq_gated, eval_ucq_on, eval_ucq_partitioned, CompiledUcq, CostModel, DbIndex, PlanCache,
+    eval_ucq_gated, eval_ucq_partitioned, CompiledUcq, CostModel, DbIndex, PlanCache,
 };
 use ca_query::generate::{random_ucq_over, QueryParams};
 use ca_query::reference;
@@ -62,10 +64,10 @@ fn cost_greedy_reference_agree_on_random_ucqs() {
         let (db, q) = random_instance(seed);
         let expected = reference::eval_ucq(&q, &db);
 
-        let greedy = CompiledUcq::compile(&q, &db.schema).unwrap();
+        let greedy = CompiledUcq::compile_costed(&q, &db.schema, &CostModel::default()).unwrap();
         assert_eq!(
             expected,
-            eval_ucq_on(&greedy, &mut DbIndex::new(&db)),
+            eval_ucq_gated(&greedy, &mut DbIndex::new(&db), exec::width()),
             "greedy plan diverges from reference (seed {seed})"
         );
 
@@ -74,15 +76,15 @@ fn cost_greedy_reference_agree_on_random_ucqs() {
         let costed = CompiledUcq::compile_costed(&q, &db.schema, &model).unwrap();
         assert_eq!(
             expected,
-            eval_ucq_on(&costed, &mut DbIndex::new(&db)),
+            eval_ucq_gated(&costed, &mut DbIndex::new(&db), exec::width()),
             "cost-based plan diverges from reference (seed {seed})"
         );
 
         let mut cache = PlanCache::new();
-        let cached = cache.get_or_compile(&q, &db.schema, &st).unwrap();
+        let cached = cache.get_or_compile(&q, None, &db.schema, &st).unwrap();
         assert_eq!(
             expected,
-            eval_ucq_on(&cached, &mut DbIndex::new(&db)),
+            eval_ucq_gated(&cached, &mut DbIndex::new(&db), exec::width()),
             "cached plan diverges from reference (seed {seed})"
         );
 
@@ -111,7 +113,7 @@ fn plan_choice_is_deterministic() {
             "plan choice not deterministic (seed {seed})"
         );
         let mut cache = PlanCache::new();
-        let c = cache.get_or_compile(&q, &db.schema, &st).unwrap();
+        let c = cache.get_or_compile(&q, None, &db.schema, &st).unwrap();
         assert_eq!(
             format!("{a:?}"),
             format!("{c:?}"),
@@ -130,10 +132,11 @@ fn cached_answers_identical_across_widths() {
         let st = to_store(&db);
         let model = CostModel::from_store(&st);
         let fresh = CompiledUcq::compile_costed(&q, &db.schema, &model).unwrap();
-        let expected: BTreeSet<Vec<Value>> = eval_ucq_on(&fresh, &mut DbIndex::new(&db));
+        let expected: BTreeSet<Vec<Value>> =
+            eval_ucq_gated(&fresh, &mut DbIndex::new(&db), exec::width());
 
         let mut cache = PlanCache::new();
-        let cached = cache.get_or_compile(&q, &db.schema, &st).unwrap();
+        let cached = cache.get_or_compile(&q, None, &db.schema, &st).unwrap();
         for width in [1usize, 2, 4, 8] {
             assert_eq!(
                 expected,
@@ -157,8 +160,8 @@ fn cache_invalidation_tracks_store_growth() {
     let mut cache = PlanCache::new();
 
     for round in 0..5u64 {
-        let cached = cache.get_or_compile(&q, &schema, &st).unwrap();
-        let again = cache.get_or_compile(&q, &schema, &st).unwrap();
+        let cached = cache.get_or_compile(&q, None, &schema, &st).unwrap();
+        let again = cache.get_or_compile(&q, None, &schema, &st).unwrap();
         assert_eq!(
             cache.hits(),
             round + 1,
@@ -167,8 +170,8 @@ fn cache_invalidation_tracks_store_growth() {
         let fresh = CompiledUcq::compile_costed(&q, &schema, &CostModel::from_store(&st)).unwrap();
         assert_eq!(format!("{fresh:?}"), format!("{cached:?}"));
         assert_eq!(
-            eval_ucq_on(&fresh, &mut DbIndex::over(&st)),
-            eval_ucq_on(&again, &mut DbIndex::over(&st)),
+            eval_ucq_gated(&fresh, &mut DbIndex::over(&st), exec::width()),
+            eval_ucq_gated(&again, &mut DbIndex::over(&st), exec::width()),
             "cached answers diverge from fresh at revision {round}"
         );
         // Mutate: the next round must recompile against new statistics.

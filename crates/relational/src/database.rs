@@ -138,10 +138,33 @@ impl NaiveDatabase {
         }
     }
 
+    /// [`Self::from_facts`] with facts addressed by relation name; names
+    /// resolve as in [`Self::add`]. Panics if a relation is unknown or an
+    /// arity is wrong.
+    pub fn from_named<N: AsRef<str>>(
+        schema: Schema,
+        facts: impl IntoIterator<Item = (N, Vec<Value>)>,
+    ) -> Self {
+        let mut db = NaiveDatabase::new(schema);
+        let facts = facts
+            .into_iter()
+            .map(|(name, args)| Fact {
+                rel: db.resolve(name.as_ref()),
+                args,
+            })
+            .collect();
+        NaiveDatabase::from_facts(db.schema, facts)
+    }
+
     /// Convenience: add a fact by relation name. Consecutive adds with
     /// the same name reuse the memoized symbol instead of re-resolving.
     pub fn add(&mut self, rel_name: &str, args: Vec<Value>) {
-        let rel = match &self.add_memo {
+        let rel = self.resolve(rel_name);
+        self.add_fact(rel, args);
+    }
+
+    fn resolve(&mut self, rel_name: &str) -> Symbol {
+        match &self.add_memo {
             Some((name, sym)) if name == rel_name => *sym,
             _ => {
                 let sym = self
@@ -151,8 +174,7 @@ impl NaiveDatabase {
                 self.add_memo = Some((rel_name.to_string(), sym));
                 sym
             }
-        };
-        self.add_fact(rel, args);
+        }
     }
 
     /// All facts, sorted.

@@ -5,7 +5,7 @@
 
 use ca_core::value::{NullGen, Value};
 
-use crate::database::NaiveDatabase;
+use crate::database::{Fact, NaiveDatabase};
 use crate::schema::Schema;
 
 /// A deterministic splitmix64 RNG.
@@ -60,8 +60,7 @@ pub struct DbParams {
 /// A random naïve database over one relation `R` with the given parameters.
 pub fn random_naive_db(rng: &mut Rng, p: DbParams) -> NaiveDatabase {
     let schema = Schema::from_relations(&[("R", p.arity)]);
-    let mut db = NaiveDatabase::new(schema);
-    for _ in 0..p.n_facts {
+    let facts = (0..p.n_facts).map(|_| {
         let row: Vec<Value> = (0..p.arity)
             .map(|_| {
                 if p.n_nulls > 0 && rng.chance(p.null_pct, 100) {
@@ -71,9 +70,9 @@ pub fn random_naive_db(rng: &mut Rng, p: DbParams) -> NaiveDatabase {
                 }
             })
             .collect();
-        db.add("R", row);
-    }
-    db
+        ("R", row)
+    });
+    NaiveDatabase::from_named(schema, facts)
 }
 
 /// A random multi-relation schema: `n_relations` relations named
@@ -91,22 +90,23 @@ pub fn random_schema(rng: &mut Rng, n_relations: usize, max_arity: usize) -> Sch
 /// [`random_naive_db`] (`p.arity` is ignored — arities come from the
 /// schema).
 pub fn random_naive_db_over(rng: &mut Rng, schema: &Schema, p: DbParams) -> NaiveDatabase {
-    let mut db = NaiveDatabase::new(schema.clone());
     let symbols: Vec<_> = schema.symbols().collect();
-    for _ in 0..p.n_facts {
-        let rel = symbols[rng.below(symbols.len() as u64) as usize];
-        let row: Vec<Value> = (0..schema.arity(rel))
-            .map(|_| {
-                if p.n_nulls > 0 && rng.chance(p.null_pct, 100) {
-                    Value::null(rng.below(p.n_nulls as u64) as u32)
-                } else {
-                    Value::Const(rng.below(p.n_constants as u64) as i64)
-                }
-            })
-            .collect();
-        db.add(schema.name(rel), row);
-    }
-    db
+    let facts = (0..p.n_facts)
+        .map(|_| {
+            let rel = symbols[rng.below(symbols.len() as u64) as usize];
+            let args: Vec<Value> = (0..schema.arity(rel))
+                .map(|_| {
+                    if p.n_nulls > 0 && rng.chance(p.null_pct, 100) {
+                        Value::null(rng.below(p.n_nulls as u64) as u32)
+                    } else {
+                        Value::Const(rng.below(p.n_constants as u64) as i64)
+                    }
+                })
+                .collect();
+            Fact { rel, args }
+        })
+        .collect();
+    NaiveDatabase::from_facts(schema.clone(), facts)
 }
 
 /// A random *Codd* database: every null occurrence is globally fresh.
@@ -117,9 +117,8 @@ pub fn random_codd_db(
     n_constants: i64,
 ) -> NaiveDatabase {
     let schema = Schema::from_relations(&[("R", arity)]);
-    let mut db = NaiveDatabase::new(schema);
     let mut gen = NullGen::new();
-    for _ in 0..n_facts {
+    let facts = (0..n_facts).map(|_| {
         let row: Vec<Value> = (0..arity)
             .map(|_| {
                 if rng.chance(30, 100) {
@@ -129,9 +128,9 @@ pub fn random_codd_db(
                 }
             })
             .collect();
-        db.add("R", row);
-    }
-    db
+        ("R", row)
+    });
+    NaiveDatabase::from_named(schema, facts)
 }
 
 #[cfg(test)]

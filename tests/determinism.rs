@@ -16,8 +16,9 @@
 //! completions — Libkin, PODS 2011, Thm 5): evaluation order is an
 //! implementation detail and must never be observable.
 
+use ca_core::exec;
 use ca_core::value::Value;
-use ca_query::engine;
+use ca_query::engine::{self, CompiledUcq, CompletionSpace, CostModel};
 use ca_query::{Atom, ConjunctiveQuery, Term, UnionQuery};
 use ca_relational::database::build::{c, n};
 use ca_relational::database::NaiveDatabase;
@@ -78,16 +79,17 @@ fn query() -> UnionQuery {
 /// Naïve evaluation: identical ordered tuple sequences across rebuilds.
 #[test]
 fn naive_eval_order_is_layout_independent() {
-    let baseline: Vec<Vec<Value>> = engine::eval_ucq(&query(), &build_permuted(0))
+    let baseline: Vec<Vec<Value>> = engine::eval_ucq(&query(), &build_permuted(0), exec::width())
         .expect("query fits schema")
         .into_iter()
         .collect();
     assert!(!baseline.is_empty(), "fixture query must have answers");
     for rotation in 1..6 {
-        let run: Vec<Vec<Value>> = engine::eval_ucq(&query(), &build_permuted(rotation))
-            .expect("query fits schema")
-            .into_iter()
-            .collect();
+        let run: Vec<Vec<Value>> =
+            engine::eval_ucq(&query(), &build_permuted(rotation), exec::width())
+                .expect("query fits schema")
+                .into_iter()
+                .collect();
         assert_eq!(
             baseline, run,
             "answer tuple order diverged on rebuild #{rotation}: map layout leaked"
@@ -101,18 +103,18 @@ fn naive_eval_order_is_layout_independent() {
 #[test]
 fn certain_sweep_order_is_layout_and_thread_independent() {
     let pool = [1, 2, 3, 5];
-    let plan =
-        |db: &NaiveDatabase| engine::compile_ucq(&query(), &db.schema).expect("query fits schema");
-    let db0 = build_permuted(0);
-    let baseline: Vec<Vec<Value>> = engine::certain_table_over(&plan(&db0), &db0, &pool, 1)
-        .into_iter()
-        .collect();
+    let sweep = |db: &NaiveDatabase, threads: usize| -> Vec<Vec<Value>> {
+        let space = CompletionSpace::new(db, &pool);
+        let plan = CompiledUcq::compile_costed(&query(), &db.schema, &space.model())
+            .expect("query fits schema");
+        engine::certain_table_over(&plan, &space, threads)
+            .into_iter()
+            .collect()
+    };
+    let baseline = sweep(&build_permuted(0), 1);
     for rotation in 0..4 {
         for threads in [1, 2, 3, 7] {
-            let db = build_permuted(rotation);
-            let run: Vec<Vec<Value>> = engine::certain_table_over(&plan(&db), &db, &pool, threads)
-                .into_iter()
-                .collect();
+            let run = sweep(&build_permuted(rotation), threads);
             assert_eq!(
                 baseline, run,
                 "certain-answer order diverged (rebuild #{rotation}, {threads} threads)"
@@ -219,27 +221,34 @@ fn store_backed_postings_are_layout_and_thread_independent() {
     use ca_relational::store_bridge::to_store;
     let pool = [1, 2, 3, 5];
     let db0 = build_permuted(0);
-    let plan = engine::compile_ucq(&query(), &db0.schema).expect("query fits schema");
+    let plan = CompiledUcq::compile_costed(&query(), &db0.schema, &CostModel::default())
+        .expect("query fits schema");
     let store0 = to_store(&db0);
     let mut idx0 = DbIndex::over(&store0);
-    let baseline: Vec<Vec<Value>> = engine::eval_ucq_on(&plan, &mut idx0).into_iter().collect();
-    assert!(!baseline.is_empty(), "fixture query must have answers");
-    let certain_base: Vec<Vec<Value>> = engine::certain_table_over(&plan, &db0, &pool, 1)
+    let baseline: Vec<Vec<Value>> = engine::eval_ucq_gated(&plan, &mut idx0, exec::width())
         .into_iter()
         .collect();
+    assert!(!baseline.is_empty(), "fixture query must have answers");
+    let certain_base: Vec<Vec<Value>> =
+        engine::certain_table_over(&plan, &CompletionSpace::new(&db0, &pool), 1)
+            .into_iter()
+            .collect();
     for rotation in 1..4 {
         let db = build_permuted(rotation);
         let store = to_store(&db);
         let mut idx = DbIndex::over(&store);
-        let run: Vec<Vec<Value>> = engine::eval_ucq_on(&plan, &mut idx).into_iter().collect();
+        let run: Vec<Vec<Value>> = engine::eval_ucq_gated(&plan, &mut idx, exec::width())
+            .into_iter()
+            .collect();
         assert_eq!(
             baseline, run,
             "store-backed answers diverged on rebuild #{rotation}: posting order leaked"
         );
         for threads in [1usize, 4] {
-            let certain: Vec<Vec<Value>> = engine::certain_table_over(&plan, &db, &pool, threads)
-                .into_iter()
-                .collect();
+            let certain: Vec<Vec<Value>> =
+                engine::certain_table_over(&plan, &CompletionSpace::new(&db, &pool), threads)
+                    .into_iter()
+                    .collect();
             assert_eq!(
                 certain_base, certain,
                 "certain answers diverged (rebuild #{rotation}, width {threads})"
@@ -399,9 +408,10 @@ fn partitioned_answers_are_partition_count_independent() {
     use ca_query::engine::DbIndex;
     use ca_relational::store_bridge::to_store;
     let db0 = build_permuted(0);
-    let plan = engine::compile_ucq(&query(), &db0.schema).expect("query fits schema");
+    let plan = CompiledUcq::compile_costed(&query(), &db0.schema, &CostModel::default())
+        .expect("query fits schema");
     let store0 = to_store(&db0);
-    let baseline: Vec<Vec<Value>> = engine::eval_ucq_on(&plan, &mut DbIndex::over(&store0))
+    let baseline: Vec<Vec<Value>> = engine::eval_ucq_gated(&plan, &mut DbIndex::over(&store0), 1)
         .into_iter()
         .collect();
     assert!(!baseline.is_empty(), "fixture query must have answers");
@@ -483,6 +493,62 @@ fn chase_partition_tasks_are_width_independent() {
                 "chase certificate bytes diverged (rebuild #{rotation}, width {threads})"
             );
         }
+    }
+}
+
+/// Certain answers through the chase: identical tables at every
+/// `ChaseConfig::threads`, which the evaluation after the chase honours
+/// too. The copy mapping puts 4500 distinct constant `T` facts and the
+/// existential rule 4500 more with fresh nulls, so the lead relation of
+/// `T(x, y), T(y, z)` is past `PART_MIN_ROWS` and the estimated join work
+/// past `PART_MIN_WORK`: widths > 1 genuinely take the partitioned path.
+#[test]
+fn chase_certain_answers_are_width_independent() {
+    use ca_exchange::chase::ChaseConfig;
+    use ca_exchange::mapping::{Mapping, Rule};
+    use ca_exchange::{certain_answers_via_chase, CertainAnswers};
+    use ca_gdm::database::GenDb;
+    use ca_gdm::schema::GenSchema;
+
+    let source_schema = GenSchema::from_parts(&[("S", 2)], &[]);
+    let target_schema = GenSchema::from_parts(&[("T", 2)], &[]);
+    let rule = |head_args: Vec<Value>| {
+        let mut body = GenDb::new(source_schema.clone());
+        body.add_node("S", vec![n(1), n(2)]);
+        let mut head = GenDb::new(target_schema.clone());
+        head.add_node("T", head_args);
+        Rule { body, head }
+    };
+    // S(x, y) → T(x, y) and S(x, y) → ∃z T(y, z).
+    let mapping = Mapping::new(vec![rule(vec![n(1), n(2)]), rule(vec![n(2), n(3)])]);
+    let mut source = GenDb::new(source_schema.clone());
+    for i in 0..4500i64 {
+        // A permutation of 0..4500 (31 is a unit mod 4500): distinct rows,
+        // out-degree one, so the join stays cheap.
+        source.add_node("S", vec![c(i), c((31 * i + 7) % 4500)]);
+    }
+    let q = UnionQuery::single(ConjunctiveQuery::with_head(
+        vec![0, 2],
+        vec![
+            Atom::new("T", vec![V(0), V(1)]),
+            Atom::new("T", vec![V(1), V(2)]),
+        ],
+    ));
+    let run = |threads: usize| {
+        let cfg = ChaseConfig::with_threads(10_000, threads);
+        match certain_answers_via_chase(&mapping, &source, &target_schema, &[], &[], &q, &cfg) {
+            CertainAnswers::Table(t) => t.into_iter().collect::<Vec<_>>(),
+            other => panic!("expected a table: {other:?}"),
+        }
+    };
+    let baseline = run(1);
+    assert!(!baseline.is_empty(), "fixture query must have answers");
+    for threads in [2usize, 4, 7] {
+        assert_eq!(
+            baseline,
+            run(threads),
+            "chase certain answers diverged at width {threads}"
+        );
     }
 }
 

@@ -10,8 +10,9 @@
 
 use proptest::prelude::*;
 
+use ca_core::exec;
 use ca_query::certain::{certain_answer_bool_with, certain_table_with};
-use ca_query::engine::{self, CompiledUcq};
+use ca_query::engine::{self, CompiledUcq, CostModel};
 use ca_query::generate::{random_ucq_over, QueryParams};
 use ca_query::reference;
 use ca_query::{Atom, ConjunctiveQuery, Term, UnionQuery};
@@ -56,7 +57,7 @@ proptest! {
     fn engine_tables_agree_with_reference(seed in any::<u64>()) {
         let (_, db, q) = instance(seed);
         prop_assert_eq!(
-            engine::eval_ucq(&q, &db).expect("generated over the schema"),
+            engine::eval_ucq(&q, &db, exec::width()).expect("generated over the schema"),
             reference::eval_ucq(&q, &db),
             "on {:?} over {:?}", &q, &db
         );
@@ -86,7 +87,7 @@ proptest! {
         let (_, db, q) = instance(seed);
         for d in &q.disjuncts {
             prop_assert_eq!(
-                engine::eval_cq(d, &db).expect("generated over the schema"),
+                engine::eval_cq(d, &db, exec::width()).expect("generated over the schema"),
                 reference::eval_cq(d, &db)
             );
         }
@@ -219,7 +220,7 @@ proptest! {
         disjuncts.push(broken);
         let mixed = UnionQuery::new(disjuncts);
         // Strict compilation refuses...
-        prop_assert!(CompiledUcq::compile(&mixed, &schema).is_err());
+        prop_assert!(CompiledUcq::compile_costed(&mixed, &schema, &CostModel::default()).is_err());
         // ...while the legacy entry point (lenient) matches the reference.
         prop_assert_eq!(
             ca_query::eval::eval_ucq(&mixed, &db),

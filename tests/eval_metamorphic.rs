@@ -18,6 +18,7 @@
 
 use proptest::prelude::*;
 
+use ca_core::exec;
 use ca_query::certain::{
     certain_answer_bool, certain_table, naive_eval_bool, naive_eval_table, proposition2_checks,
 };
@@ -117,11 +118,11 @@ proptest! {
     fn atom_permutation_invariance(seed in any::<u64>()) {
         let (db, q) = small_instance(seed);
         for d in &q.disjuncts {
-            let baseline = engine::eval_cq(d, &db).unwrap();
+            let baseline = engine::eval_cq(d, &db, exec::width()).unwrap();
             let mut atoms = d.atoms.clone();
             atoms.reverse();
             let reversed = ConjunctiveQuery::with_head(d.head.clone(), atoms);
-            prop_assert_eq!(engine::eval_cq(&reversed, &db).unwrap(), baseline);
+            prop_assert_eq!(engine::eval_cq(&reversed, &db, exec::width()).unwrap(), baseline);
         }
     }
 
@@ -129,11 +130,11 @@ proptest! {
     #[test]
     fn disjunct_permutation_invariance(seed in any::<u64>()) {
         let (db, q) = small_instance(seed);
-        let baseline = engine::eval_ucq(&q, &db).unwrap();
+        let baseline = engine::eval_ucq(&q, &db, exec::width()).unwrap();
         let mut disjuncts = q.disjuncts.clone();
         disjuncts.reverse();
         let reversed = UnionQuery::new(disjuncts);
-        prop_assert_eq!(engine::eval_ucq(&reversed, &db).unwrap(), baseline);
+        prop_assert_eq!(engine::eval_ucq(&reversed, &db, exec::width()).unwrap(), baseline);
     }
 }
 
