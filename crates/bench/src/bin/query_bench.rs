@@ -24,8 +24,10 @@
 //! * `certain_sweep` — brute-force certain answers as the null count
 //!   grows (the `|pool|^#nulls` grid of E1): the reference side
 //!   materializes every completion up front and intersects reference
-//!   answers; the engine compiles the query once and sweeps the grid
-//!   (sequentially and with the parallel driver);
+//!   answers over the full grid; the engine compiles the query once and
+//!   sweeps one completion per fresh-constant orbit, as
+//!   `certain_table_with` does (sequentially and with the parallel
+//!   driver);
 //! * `e11_gdm_images` — the Theorem 7(b) image-enumeration procedure on
 //!   ϕ₀ instances: sequential grounded-image enumeration vs the
 //!   parallelized grounding sweep in `ca_gdm::certain`.
@@ -208,10 +210,12 @@ fn plan_times(q: &UnionQuery, schema: &Schema, st: &FactStore) -> (u128, u128) {
 }
 
 /// The legacy brute-force certain table: materialize all completions up
-/// front (as `certain_table` did before the engine) and intersect
-/// reference answers.
+/// front (as `certain_table` did before the engine), intersect reference
+/// answers over the full grid, and drop the rows naming a fresh pool
+/// constant (no certain answer can).
 fn legacy_certain_table(q: &UnionQuery, db: &NaiveDatabase) -> BTreeSet<Vec<Value>> {
     let pool = adequate_pool(db, &ucq_constants(q));
+    let fresh = &pool[pool.len() - db.nulls().len()..];
     let mut completions = db.completions_over(&pool).into_iter();
     let Some(first) = completions.next() else {
         return BTreeSet::new();
@@ -224,6 +228,10 @@ fn legacy_certain_table(q: &UnionQuery, db: &NaiveDatabase) -> BTreeSet<Vec<Valu
             break;
         }
     }
+    acc.retain(|row| {
+        !row.iter()
+            .any(|v| matches!(v, Value::Const(k) if fresh.contains(k)))
+    });
     acc
 }
 
@@ -413,8 +421,9 @@ fn main() {
             CompiledUcq::compile_costed(&q, &db.schema, &CostModel::default()).unwrap();
         let plan = CompiledUcq::compile_costed(&q, &db.schema, &model).unwrap();
         let same_plan = format!("{plan_greedy:?}") == format!("{plan:?}");
-        let pool = adequate_pool(&db, &ucq_constants(&q));
-        let space = CompletionSpace::new(&db, &pool);
+        // Built as `certain_table_with` builds it: one completion per
+        // fresh-constant orbit.
+        let space = CompletionSpace::adequate(&db, &ucq_constants(&q));
         let expected = legacy_certain_table(&q, &db);
         let got = engine::certain_table_over(&plan, &space, 1);
         assert_eq!(expected, got, "certain sweep disagreement");
@@ -438,7 +447,7 @@ fn main() {
         let (plan_cold_ns, plan_warm_ns) = plan_times(&q, &db.schema, &st);
         rows.push(Row {
             family: "certain_sweep",
-            case: format!("nulls={k},pool={}", pool.len()),
+            case: format!("nulls={k},pool={}", space.pool().len()),
             mode: "table",
             ref_us,
             seq_us,

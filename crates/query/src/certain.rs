@@ -21,6 +21,17 @@
 //! [`crate::engine`] (`CA_THREADS` workers, early exit, results
 //! identical for every thread count); completions are materialized one at
 //! a time per worker instead of all up front.
+//!
+//! The same genericity argument cuts the grid further. A permutation of
+//! the fresh constants fixes `C(D) ∪ C(Q)`, so two completions that
+//! differ by one give the same answers on every tuple over `C(D) ∪ C(Q)`
+//! and the same Boolean verdicts: the sweep evaluates one completion per
+//! orbit ([`CompletionSpace::adequate`]; 2,727 of 10,000 for six fixed
+//! constants and four nulls). And a certain answer mentions no fresh
+//! constant — some completion avoids it, and a generic query only
+//! answers with constants of the completion and the query — so rows
+//! naming one are dropped. Without that drop a constant-free database
+//! with one null would "prove" the lone fresh constant certain.
 
 use std::collections::BTreeSet;
 
@@ -31,7 +42,7 @@ use ca_relational::hom::find_hom;
 
 use crate::ast::{ConjunctiveQuery, Fo, Term, UnionQuery};
 use crate::containment::cq_contained_in;
-use crate::engine::{self, sweep, CompiledUcq, CompletionSpace};
+use crate::engine::{self, CompiledUcq, CompletionSpace};
 use crate::eval::{eval_fo, eval_ucq, eval_ucq_bool};
 use crate::tableau::{canonical_query, tableau};
 
@@ -113,8 +124,7 @@ pub fn certain_answer_bool(q: &UnionQuery, db: &NaiveDatabase) -> bool {
 /// `|pool|^#nulls` grid is swept in parallel with early exit on the first
 /// falsifying completion.
 pub fn certain_answer_bool_with(q: &UnionQuery, db: &NaiveDatabase, threads: usize) -> bool {
-    let pool = adequate_pool(db, &ucq_constants(q));
-    let space = CompletionSpace::new(db, &pool);
+    let space = CompletionSpace::adequate(db, &ucq_constants(q));
     let plan = CompiledUcq::compile_lenient(q, &db.schema, &space.model());
     engine::certain_bool_over(&plan, &space, threads)
 }
@@ -122,11 +132,8 @@ pub fn certain_answer_bool_with(q: &UnionQuery, db: &NaiveDatabase, threads: usi
 /// Brute-force Boolean certain answer for an arbitrary FO sentence,
 /// sweeping the completion grid in parallel (`CA_THREADS`).
 pub fn certain_answer_fo(phi: &Fo, db: &NaiveDatabase) -> bool {
-    let pool = adequate_pool(db, &fo_constants(phi));
-    let space = CompletionSpace::new(db, &pool);
-    sweep::parallel_all(space.len(), exec::width(), |i| {
-        eval_fo(phi, &space.completion(i))
-    })
+    let space = CompletionSpace::adequate(db, &fo_constants(phi));
+    space.all(exec::width(), |i| eval_fo(phi, &space.completion(i)))
 }
 
 /// Naïve Boolean evaluation of a UCQ: evaluate with nulls as values. (For
@@ -168,8 +175,7 @@ pub fn certain_table_with(
     db: &NaiveDatabase,
     threads: usize,
 ) -> BTreeSet<Vec<Value>> {
-    let pool = adequate_pool(db, &ucq_constants(q));
-    let space = CompletionSpace::new(db, &pool);
+    let space = CompletionSpace::adequate(db, &ucq_constants(q));
     let plan = CompiledUcq::compile_lenient(q, &db.schema, &space.model());
     engine::certain_table_over(&plan, &space, threads)
 }
@@ -446,6 +452,30 @@ mod tests {
         assert_eq!(certain, naive);
         assert_eq!(certain.len(), 1);
         assert!(certain.contains(&vec![c(1), c(2)]));
+    }
+
+    /// A fresh constant is never a certain answer, even when every
+    /// completion is forced onto it: `R(⊥1)` has the single-constant pool
+    /// `[0]`, yet `(0)` is not certain (the completion `⊥1 ↦ 1` omits it).
+    #[test]
+    fn certain_table_drops_fresh_constant_rows() {
+        let q = UnionQuery::single(ConjunctiveQuery::with_head(
+            vec![0],
+            vec![Atom::new("R", vec![V(0)])],
+        ));
+        let db = table("R", 1, &[&[n(1)]]);
+        assert_eq!(adequate_pool(&db, &ucq_constants(&q)), vec![0]);
+        assert!(certain_table(&q, &db).is_empty());
+        assert_eq!(certain_table(&q, &db), naive_eval_table(&q, &db));
+        // Two nulls, no constants: still nothing certain.
+        let db2 = table("R", 2, &[&[n(1), n(2)]]);
+        let q2 = UnionQuery::single(ConjunctiveQuery::with_head(
+            vec![0, 1],
+            vec![Atom::new("R", vec![V(0), V(1)])],
+        ));
+        assert!(certain_table(&q2, &db2).is_empty());
+        // The Boolean form is certain: every completion has an R-fact.
+        assert!(certain_answer_bool(&crate::certify::boolean_form(&q), &db));
     }
 
     #[test]

@@ -103,45 +103,24 @@ fn naive_match(
     None
 }
 
-/// Decode completion index `i` of `space` into an explicit valuation
-/// (sorted null order; digit `j` picks `pool[(i / |pool|^j) % |pool|]`).
-fn decode_valuation(nulls: &[Null], pool: &[i64], i: u128) -> Vec<(Null, i64)> {
-    let base = pool.len() as u128;
-    let mut rest = i;
-    let mut out = Vec::with_capacity(nulls.len());
-    for &n in nulls {
-        let digit = (rest % base) as usize;
-        if let Some(&c) = pool.get(digit) {
-            out.push((n, c));
-        }
-        rest /= base;
-    }
-    out
-}
-
-/// Scan the completion grid sequentially for one completion falsifying
-/// `test` on `q`'s lenient plan (priced off the base instance),
-/// returning its decoded valuation. Sequential on purpose: emission must
-/// be deterministic (lowest falsifying index wins) and runs only after
-/// the parallel sweep has already said "not certain".
+/// Scan `space` sequentially for one completion falsifying `test` on
+/// `q`'s lenient plan (priced off the base instance), returning its
+/// valuation. Sequential on purpose: emission must be deterministic
+/// (lowest falsifying index wins) and runs only after the parallel sweep
+/// has already said "not certain". Only orbit-canonical indices are
+/// tried; for an orbit-invariant `test` the lowest falsifying index is
+/// an orbit minimum, hence the same as on the full grid.
 fn falsifying_valuation(
     db: &NaiveDatabase,
-    pool: &[i64],
+    space: &CompletionSpace<'_>,
     q: &UnionQuery,
     test: impl Fn(&CompiledUcq, &mut DbIndex<'_>) -> bool,
 ) -> Option<Vec<(Null, i64)>> {
-    let space = CompletionSpace::new(db, pool);
     let plan = CompiledUcq::compile_lenient(q, &db.schema, &space.model());
-    let nulls: Vec<Null> = db.nulls().into_iter().collect();
-    let mut i: u128 = 0;
-    while i < space.len() {
-        let mut idx = DbIndex::from_store(space.completion_store(i));
-        if !test(&plan, &mut idx) {
-            return Some(decode_valuation(&nulls, pool, i));
-        }
-        i += 1;
-    }
-    None
+    (0..space.len())
+        .filter(|&i| space.is_canonical(i))
+        .find(|&i| !test(&plan, &mut DbIndex::from_store(space.completion_store(i))))
+        .map(|i| space.valuation(i))
 }
 
 /// Boolean certain answer with a replayable verdict certificate.
@@ -165,8 +144,8 @@ pub fn certain_bool_certified(
         let cert = naive_match(&bq, db, &[], threads).map(CertainVerdictCert::Certain);
         return (true, cert);
     }
-    let pool = adequate_pool(db, &ucq_constants(q));
-    let cert = falsifying_valuation(db, &pool, &bq, engine::eval_ucq_bool_on).map(|valuation| {
+    let space = CompletionSpace::adequate(db, &ucq_constants(q));
+    let cert = falsifying_valuation(db, &space, &bq, engine::eval_ucq_bool_on).map(|valuation| {
         CertainVerdictCert::NonCertain(NonCertainCert {
             valuation,
             row: vec![],
@@ -214,10 +193,12 @@ pub fn certain_table_certified(
 
 /// Certify that `row` is **not** a certain answer of `q` over `db`: find
 /// a completion into the adequate pool whose answer table omits `row`.
-/// `None` when `row` is in fact certain (or the space is vacuous).
+/// `None` when `row` is in fact certain (or the space is vacuous). The
+/// whole grid is scanned: `row` may name a pool constant that is fresh,
+/// so the test is not invariant under permuting the fresh constants.
 pub fn refute_row(q: &UnionQuery, db: &NaiveDatabase, row: &[Value]) -> Option<NonCertainCert> {
-    let pool = adequate_pool(db, &ucq_constants(q));
-    falsifying_valuation(db, &pool, q, |plan, idx| {
+    let space = CompletionSpace::new(db, &adequate_pool(db, &ucq_constants(q)));
+    falsifying_valuation(db, &space, q, |plan, idx| {
         engine::eval_ucq_gated(plan, idx, exec::width()).contains(row)
     })
     .map(|valuation| NonCertainCert {

@@ -19,10 +19,11 @@
 //!    lazily on first probe and cached across the disjuncts of a UCQ and
 //!    across repeated evaluations on the same store;
 //! 3. **parallel completion sweep** ([`sweep`]) — brute-force certain
-//!    answers sweep the `|pool|^#nulls` completion grid in parallel
-//!    (`ca_core::exec`), grounding each completion by remapping null
-//!    ids over shared column pages, with early exit once the
-//!    intersection empties and thread-count-independent results.
+//!    answers sweep the `|pool|^#nulls` completion grid (one completion
+//!    per fresh-constant orbit) in parallel (`ca_core::exec`), grounding
+//!    each completion by remapping null ids over shared column pages,
+//!    with early exit once the intersection empties and
+//!    thread-count-independent results.
 //!
 //! The old evaluator survives unchanged as [`crate::reference`] and
 //! serves as the differential-testing oracle (`tests/eval_differential.rs`),
@@ -385,9 +386,11 @@ pub fn eval_ucq_bool(q: &UnionQuery, db: &NaiveDatabase) -> Result<bool, PlanErr
 
 /// Brute-force certain answers of a compiled UCQ: intersect the answer
 /// tables over every completion in `space`, sweeping the completion
-/// grid with `threads` workers and early exit. Price the plan off
-/// [`CompletionSpace::model`]: every completion shares the base
-/// instance's shape.
+/// grid with `threads` workers and early exit. Over an adequate space
+/// only one completion per fresh-constant orbit is evaluated and rows
+/// naming a fresh constant are dropped (see [`CompletionSpace`]). Price
+/// the plan off [`CompletionSpace::model`]: every completion shares the
+/// base instance's shape.
 ///
 /// The sweep never nests fan-outs: each completion evaluates at width 1,
 /// except on a one-completion grid (no nulls), where the sweep has
@@ -404,21 +407,23 @@ pub fn certain_table_over(
     threads: usize,
 ) -> BTreeSet<Vec<Value>> {
     let width = if space.len() == 1 { threads } else { 1 };
-    sweep::parallel_intersect(space.len(), threads, |i| {
-        eval_ucq_gated(
-            plan,
-            &mut DbIndex::from_store(space.completion_store(i)),
-            width,
-        )
-    })
-    .unwrap_or_default()
+    space
+        .intersect(threads, |i| {
+            eval_ucq_gated(
+                plan,
+                &mut DbIndex::from_store(space.completion_store(i)),
+                width,
+            )
+        })
+        .unwrap_or_default()
 }
 
 /// Brute-force Boolean certain answer of a compiled UCQ over a
-/// completion space: true iff every completion satisfies the query.
+/// completion space: true iff every completion satisfies the query
+/// (one per fresh-constant orbit is evaluated, see [`CompletionSpace`]).
 /// Vacuously true when the completion space is empty.
 pub fn certain_bool_over(plan: &CompiledUcq, space: &CompletionSpace<'_>, threads: usize) -> bool {
-    sweep::parallel_all(space.len(), threads, |i| {
+    space.all(threads, |i| {
         eval_ucq_bool_on(plan, &mut DbIndex::from_store(space.completion_store(i)))
     })
 }

@@ -10,12 +10,20 @@
 
 use proptest::prelude::*;
 
+use std::collections::BTreeSet;
+
 use ca_core::exec;
-use ca_query::certain::{certain_answer_bool_with, certain_table_with};
-use ca_query::engine::{self, CompiledUcq, CostModel};
+use ca_core::value::Value;
+use ca_query::certain::{
+    adequate_pool, certain_answer_bool_with, certain_answer_fo, certain_table_with,
+    naive_eval_table, ucq_constants,
+};
+use ca_query::certify;
+use ca_query::engine::{self, sweep, CompiledUcq, CompletionSpace, CostModel};
+use ca_query::eval::eval_fo;
 use ca_query::generate::{random_ucq_over, QueryParams};
 use ca_query::reference;
-use ca_query::{Atom, ConjunctiveQuery, Term, UnionQuery};
+use ca_query::{Atom, ConjunctiveQuery, Fo, Term, UnionQuery};
 use ca_relational::database::NaiveDatabase;
 use ca_relational::generate::{random_naive_db_over, random_schema, DbParams, Rng};
 use ca_relational::schema::Schema;
@@ -47,6 +55,160 @@ fn instance(seed: u64) -> (Schema, NaiveDatabase, UnionQuery) {
     };
     let q = random_ucq_over(&mut rng, &schema, head_arity, params);
     (schema, db, q)
+}
+
+/// A small random sweep instance — 1–2 relations of arity ≤ 2, 4 facts,
+/// `n_nulls` nulls filling `null_pct`% of positions — and a 2-disjunct
+/// UCQ with `const_pct`% constant terms, cheap enough to brute-force the
+/// full `|pool|^#nulls` grid.
+fn sweep_instance(
+    seed: u64,
+    n_nulls: u32,
+    null_pct: u64,
+    const_pct: u64,
+) -> (NaiveDatabase, UnionQuery) {
+    let mut rng = Rng::new(seed);
+    let schema = random_schema(&mut rng, 2, 2);
+    let db = random_naive_db_over(
+        &mut rng,
+        &schema,
+        DbParams {
+            n_facts: 4,
+            arity: 0,
+            n_constants: 2,
+            n_nulls,
+            null_pct,
+        },
+    );
+    let head_arity = rng.below(2) as usize;
+    let q = random_ucq_over(
+        &mut rng,
+        &schema,
+        head_arity,
+        QueryParams {
+            n_disjuncts: 2,
+            n_atoms: 2,
+            n_vars: 3,
+            arity: 0,
+            n_constants: 2,
+            const_pct,
+        },
+    );
+    (db, q)
+}
+
+/// `rows` minus every row naming one of the `fresh` constants.
+fn without_fresh(rows: BTreeSet<Vec<Value>>, fresh: &[i64]) -> BTreeSet<Vec<Value>> {
+    rows.into_iter()
+        .filter(|row| {
+            !row.iter()
+                .any(|v| matches!(v, Value::Const(k) if fresh.contains(k)))
+        })
+        .collect()
+}
+
+/// Generic FO sentences derived from a Boolean UCQ, beyond the UCQ
+/// fragment: the UCQ itself, its negation, one disjunct without the
+/// other, and the first disjunct with two of its variables forced apart
+/// (where identifying fresh constants matters).
+fn fo_sentences(bq: &UnionQuery) -> Vec<Fo> {
+    let first = &bq.disjuncts[0];
+    let last = &bq.disjuncts[bq.disjuncts.len() - 1];
+    let mut out = vec![
+        Fo::from_ucq(bq),
+        Fo::from_ucq(bq).not(),
+        Fo::And(vec![Fo::from_cq(first), Fo::from_cq(last).not()]),
+    ];
+    let vars = first.body_vars();
+    if let [a, b, ..] = vars[..] {
+        let mut body: Vec<Fo> = first.atoms.iter().cloned().map(Fo::Atom).collect();
+        body.push(Fo::Eq(Term::Var(a), Term::Var(b)).not());
+        out.push(
+            vars.iter()
+                .rev()
+                .fold(Fo::And(body), |acc, &v| Fo::exists(v, acc)),
+        );
+    }
+    out
+}
+
+/// The reduced sweep (one completion per fresh-constant orbit over
+/// [`CompletionSpace::adequate`]) against the full grid over the same
+/// pool with every constant fixed, minus fresh-constant rows: tables,
+/// Booleans and FO sentences, at widths 1, 2, 4 and 7. The full grid is
+/// swept once, sequentially.
+fn assert_reduced_matches_full(
+    db: &NaiveDatabase,
+    q: &UnionQuery,
+) -> Result<(), proptest::TestCaseError> {
+    let bq = certify::boolean_form(q);
+    let reduced = CompletionSpace::adequate(db, &ucq_constants(q));
+    let full = CompletionSpace::new(db, reduced.pool());
+    let fresh = &reduced.pool()[reduced.pool().len() - db.nulls().len()..];
+    let plan = CompiledUcq::compile_lenient(q, &db.schema, &reduced.model());
+    let bplan = CompiledUcq::compile_lenient(&bq, &db.schema, &reduced.model());
+    let table = without_fresh(engine::certain_table_over(&plan, &full, 1), fresh);
+    let verdict = engine::certain_bool_over(&bplan, &full, 1);
+    let phis = fo_sentences(&bq);
+    let fo: Vec<bool> = phis
+        .iter()
+        .map(|phi| sweep::parallel_all(full.len(), 1, |i| eval_fo(phi, &full.completion(i))))
+        .collect();
+    for width in [1, 2, 4, 7] {
+        prop_assert_eq!(
+            &engine::certain_table_over(&plan, &reduced, width),
+            &table,
+            "table at width {} on {:?} over {:?}",
+            width,
+            q,
+            db
+        );
+        prop_assert_eq!(
+            engine::certain_bool_over(&bplan, &reduced, width),
+            verdict,
+            "Boolean at width {}",
+            width
+        );
+        for (phi, &want) in phis.iter().zip(&fo) {
+            prop_assert_eq!(
+                reduced.all(width, |i| eval_fo(phi, &reduced.completion(i))),
+                want,
+                "FO {:?} at width {}",
+                phi,
+                width
+            );
+        }
+    }
+    prop_assert_eq!(certain_table_with(q, db, 1), table);
+    prop_assert_eq!(certain_answer_bool_with(&bq, db, 1), verdict);
+    for (phi, &want) in phis.iter().zip(&fo) {
+        prop_assert_eq!(certain_answer_fo(phi, db), want);
+    }
+    Ok(())
+}
+
+/// Every grid so far stays below the sweep's parallel threshold (20,000
+/// completions), so none runs chunked: this one has 3 constants and 5
+/// nulls (8⁵ = 32,768 completions, 1,915 orbits, all in the first half
+/// of the index range — the later chunks skip every index). The 2-path
+/// query's certain table stays non-empty, so no chunk exits early; the
+/// self-loop query's empties, so the chunks cut each other.
+#[test]
+fn reduced_sweep_matches_full_grid_past_the_parallel_threshold() {
+    let db = ca_relational::parse::parse_database(
+        "R(0, 1); R(1, 2); R(2, 0); R(0, ?a); R(?a, ?b); R(?b, ?c); R(?c, ?d); R(?d, ?e); R(?e, 1)",
+    )
+    .expect("fixed database parses");
+    for q in ["(x, z) :- R(x, y), R(y, z)", "(x) :- R(x, x)"] {
+        let q = ca_query::parse::parse_ucq(q).expect("fixed query parses");
+        let space = CompletionSpace::adequate(&db, &ucq_constants(&q));
+        assert_eq!(space.len(), 32_768);
+        assert_eq!(
+            (0..space.len()).filter(|&i| space.is_canonical(i)).count(),
+            1_915
+        );
+        assert_reduced_matches_full(&db, &q).unwrap();
+    }
 }
 
 proptest! {
@@ -98,35 +260,13 @@ proptest! {
     /// null counts so the |pool|^#nulls sweep stays small.)
     #[test]
     fn sweep_is_thread_count_invariant(seed in any::<u64>()) {
-        let mut rng = Rng::new(seed ^ 0x5eed);
-        let schema = random_schema(&mut rng, 2, 2);
-        let db = random_naive_db_over(
-            &mut rng,
-            &schema,
-            DbParams { n_facts: 4, arity: 0, n_constants: 2, n_nulls: 2, null_pct: 40 },
-        );
-        let head_arity = rng.below(2) as usize;
-        let q = random_ucq_over(
-            &mut rng,
-            &schema,
-            head_arity,
-            QueryParams {
-                n_disjuncts: 2,
-                n_atoms: 2,
-                n_vars: 3,
-                arity: 0,
-                n_constants: 2,
-                const_pct: 25,
-            },
-        );
+        let (db, q) = sweep_instance(seed ^ 0x5eed, 2, 40, 25);
         let seq = certain_table_with(&q, &db, 1);
         let par = certain_table_with(&q, &db, 4);
         prop_assert_eq!(&seq, &par, "certain_table differs across thread counts");
         // Boolean driver: also thread-count invariant, and consistent with
         // the table for Boolean queries.
-        let bq = UnionQuery::new(
-            q.disjuncts.iter().map(|d| ConjunctiveQuery::boolean(d.atoms.clone())).collect(),
-        );
+        let bq = certify::boolean_form(&q);
         prop_assert_eq!(
             certain_answer_bool_with(&bq, &db, 1),
             certain_answer_bool_with(&bq, &db, 4)
@@ -140,29 +280,8 @@ proptest! {
     #[test]
     fn certified_verdicts_round_trip(seed in any::<u64>()) {
         use ca_cert::{check_certain_row, check_non_certain, CertainVerdictCert};
-        use ca_query::certify;
 
-        let mut rng = Rng::new(seed ^ 0xce47);
-        let schema = random_schema(&mut rng, 2, 2);
-        let db = random_naive_db_over(
-            &mut rng,
-            &schema,
-            DbParams { n_facts: 4, arity: 0, n_constants: 2, n_nulls: 2, null_pct: 40 },
-        );
-        let head_arity = rng.below(2) as usize;
-        let q = random_ucq_over(
-            &mut rng,
-            &schema,
-            head_arity,
-            QueryParams {
-                n_disjuncts: 2,
-                n_atoms: 2,
-                n_vars: 3,
-                arity: 0,
-                n_constants: 2,
-                const_pct: 25,
-            },
-        );
+        let (db, q) = sweep_instance(seed ^ 0xce47, 2, 40, 25);
         let facts = certify::db_facts(&db);
 
         // Boolean verdict: agrees with the uncertified driver, and the
@@ -226,5 +345,61 @@ proptest! {
             ca_query::eval::eval_ucq(&mixed, &db),
             reference::eval_ucq(&mixed, &db)
         );
+    }
+
+    /// Orbit reduction is exact on random instances: see
+    /// [`assert_reduced_matches_full`].
+    #[test]
+    fn reduced_sweep_matches_full_grid(seed in any::<u64>()) {
+        let (db, q) = sweep_instance(seed ^ 0x0b17, 2, 40, 25);
+        assert_reduced_matches_full(&db, &q)?;
+    }
+
+    /// Theorem 2 on constant-free instances: every database value is a
+    /// null and the query names no constant, so the adequate pool is all
+    /// fresh constants — and still the brute-force certain table equals
+    /// naive evaluation (nothing non-Boolean is certain).
+    #[test]
+    fn certain_table_is_naive_on_constant_free_databases(seed in any::<u64>()) {
+        let (db, q) = sweep_instance(seed ^ 0xf4e5, 3, 100, 0);
+        prop_assert!(db.constants().is_empty() && ucq_constants(&q).is_empty());
+        prop_assert_eq!(
+            certain_table_with(&q, &db, 1),
+            naive_eval_table(&q, &db),
+            "on {:?} over {:?}", &q, &db
+        );
+    }
+
+    /// The emitted non-certain certificate is the one a full-grid
+    /// sequential scan finds first: the lowest falsifying index is an
+    /// orbit minimum, so skipping non-canonical indices cannot move it.
+    /// Every other case is constant-free, where falsifying completions
+    /// tend to need several distinct fresh constants (so the orbit's
+    /// representative matters).
+    #[test]
+    fn non_certain_certificate_matches_full_grid_scan(seed in any::<u64>()) {
+        use ca_cert::CertainVerdictCert;
+
+        let constant_free = seed.is_multiple_of(2);
+        let (db, q) = if constant_free {
+            sweep_instance(seed ^ 0xfa15, 3, 100, 0)
+        } else {
+            sweep_instance(seed ^ 0xfa15, 3, 60, 25)
+        };
+        let q = certify::boolean_form(&q);
+        let (verdict, cert) = certify::certain_bool_certified(&q, &db, 1);
+        if verdict {
+            return Ok(());
+        }
+        let full = CompletionSpace::new(&db, &adequate_pool(&db, &ucq_constants(&q)));
+        let first = (0..full.len())
+            .find(|&i| !reference::eval_ucq_bool(&q, &full.completion(i)))
+            .expect("a non-certain verdict has a falsifying completion");
+        match cert {
+            Some(CertainVerdictCert::NonCertain(nc)) => {
+                prop_assert_eq!(nc.valuation, full.valuation(first));
+            }
+            other => prop_assert!(false, "expected a non-certain cert, got {:?}", other),
+        }
     }
 }
