@@ -21,6 +21,11 @@
 //!   three indistinguishable unbound atoms and leads with `Big`; the
 //!   cost model leads with `Tiny` and probes inward. This family is
 //!   where cost-based planning pays, not just matches;
+//! * `e02_ucq_closure` — the composition query `(x, z) ← T(x, y) ∧
+//!   T(y, z)` over the transitive closure of an `n`-edge path, the
+//!   answer query of the `xchg_closure` pipeline: about `n/3` bindings
+//!   per distinct answer, so this family measures the per-binding dedup
+//!   cost of the table runner (the `bind_per_ans` column);
 //! * `certain_sweep` — brute-force certain answers as the null count
 //!   grows (the `|pool|^#nulls` grid of E1): the reference side
 //!   materializes every completion up front and intersects reference
@@ -120,6 +125,34 @@ fn skew_db(rng: &mut Rng, n: usize) -> NaiveDatabase {
         db.add("Tiny", vec![Value::Const(z), Value::Const(w)]);
     }
     db
+}
+
+/// The transitive closure of a path over `n + 1` shuffled constants:
+/// `T(vᵢ, vⱼ)` for every `i < j`.
+fn closure_db(rng: &mut Rng, n: usize) -> NaiveDatabase {
+    let schema = Schema::from_relations(&[("T", 2)]);
+    let mut db = NaiveDatabase::new(schema);
+    let mut labels: Vec<i64> = (0..=n as i64).map(|i| 7 * i + 11).collect();
+    for i in (1..labels.len()).rev() {
+        labels.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    for (i, &a) in labels.iter().enumerate() {
+        for &b in &labels[i + 1..] {
+            db.add("T", vec![Value::Const(a), Value::Const(b)]);
+        }
+    }
+    db
+}
+
+/// `Q(x, z) ← T(x, y) ∧ T(y, z)`.
+fn closure_query() -> UnionQuery {
+    UnionQuery::single(ConjunctiveQuery::with_head(
+        vec![0, 2],
+        vec![
+            Atom::new("T", vec![V(0), V(1)]),
+            Atom::new("T", vec![V(1), V(2)]),
+        ],
+    ))
 }
 
 /// `Q(x) ← Big(x, y) ∧ Mid(y, z) ∧ Tiny(z, w)`.
@@ -243,6 +276,8 @@ struct Row {
     seq_us: u128,
     par_us: u128,
     answers: usize,
+    /// Join bindings enumerated before dedup (join families only).
+    bindings: Option<usize>,
     opt: Option<OptCols>,
 }
 
@@ -284,6 +319,14 @@ fn join_case(
     );
     let par_got = engine::eval_ucq_gated(&plan_cost, &mut DbIndex::new(db), PART_WIDTH);
     assert_eq!(expected, par_got, "{family} gated-parallel disagreement");
+    let mut bindings = 0usize;
+    let mut idx = DbIndex::new(db);
+    for d in plan_cost.disjuncts() {
+        engine::eval_cq_ids(d, &mut idx, &mut |_| {
+            bindings += 1;
+            true
+        });
+    }
 
     let ref_us = time_reps(reps, || {
         std::hint::black_box(reference::eval_ucq(q, db));
@@ -340,6 +383,7 @@ fn join_case(
         seq_us,
         par_us,
         answers: got.len(),
+        bindings: Some(bindings),
         opt: Some(OptCols {
             greedy_us,
             plan_cold_ns,
@@ -410,6 +454,23 @@ fn main() {
         );
     }
 
+    // --- e02_ucq_closure: many bindings per answer, the dedup cost ---
+    let closure_sizes: &[usize] = if quick { &[48] } else { &[96, 144] };
+    for &n in closure_sizes {
+        let db = closure_db(&mut rng, n);
+        join_case(
+            "e02_ucq_closure",
+            format!("n={n}"),
+            &closure_query(),
+            &db,
+            if n >= 96 { 1 } else { 3 },
+            quick,
+            false,
+            true,
+            &mut rows,
+        );
+    }
+
     // --- certain_sweep: the |pool|^#nulls completion grid of E1 ---
     let null_counts: &[u32] = if quick { &[4] } else { &[4, 5] };
     for &k in null_counts {
@@ -453,6 +514,7 @@ fn main() {
             seq_us,
             par_us,
             answers: got.len(),
+            bindings: None,
             opt: Some(OptCols {
                 greedy_us,
                 plan_cold_ns,
@@ -517,6 +579,7 @@ fn main() {
             seq_us: ref_us, // the sequential path IS the reference here
             par_us,
             answers: usize::from(expected),
+            bindings: None,
             opt: None,
         });
         eprintln!("[query_bench] e11_gdm_images {name}: seq {ref_us}us, par {par_us}us");
@@ -538,6 +601,7 @@ fn main() {
             "plan_cold_ns",
             "plan_warm_ns",
             "answers",
+            "bind_per_ans",
         ],
     );
     let mut json_rows: Vec<String> = Vec::new();
@@ -566,6 +630,9 @@ fn main() {
                 .as_ref()
                 .map_or("-".into(), |o| o.plan_warm_ns.to_string()),
             r.answers.to_string(),
+            r.bindings.map_or("-".into(), |b| {
+                format!("{:.1}", b as f64 / r.answers.max(1) as f64)
+            }),
         ]);
         let mut row = String::new();
         let _ = write!(
@@ -575,6 +642,9 @@ fn main() {
              \"speedup_seq\": {:.2}, \"speedup_par\": {:.2}, \"answers\": {}",
             r.family, r.case, r.mode, r.ref_us, r.seq_us, r.par_us, speedup, par_speedup, r.answers
         );
+        if let Some(b) = r.bindings {
+            let _ = write!(row, ", \"bindings\": {b}");
+        }
         if let Some(o) = &r.opt {
             let _ = write!(
                 row,
@@ -594,6 +664,7 @@ fn main() {
     report.note("plan_cold_ns = statistics read + cost-based compile; plan_warm_ns = PlanCache hit at the same store revision");
     report.note("e02_ucq_edge measures fixed costs (single scan both sides) — near-parity is the honest expectation; the chain joins are where indexing pays and e02_ucq_skew is where cost-based ordering pays");
     report.note("answers = result rows (table mode) / certainty bit (bool mode); every case asserts reference and engine agree before timing");
+    report.note("bind_per_ans = join bindings enumerated per distinct answer row (the table runner dedups every binding; e02_ucq_closure is the many-bindings family)");
     println!("{report}");
 
     // Thread accounting: `host_cores` is the default width; both

@@ -17,14 +17,17 @@
 //!   the store's revision counter moves; quiet fixpoint passes and the
 //!   per-round provenance/satisfaction evaluations hit the cache;
 //! * a *trigger* is a valuation of the rule's frontier (sorted body∩head
-//!   nulls). Fired triggers are remembered per rule in a hash set over
-//!   the **workspace columnar fact store** ([`ca_core::store::FactStore`]
-//!   — interned values, column-major tuples, a live bitmap, and a
-//!   store-level null-occurrence index), so no trigger ever fires twice;
-//!   head
-//!   satisfaction is decided set-at-a-time by evaluating the head
-//!   pattern as a query whose answers are precisely the satisfied
-//!   frontier valuations, instead of one satisfiability probe per match;
+//!   nulls). The state lives in the **workspace columnar fact store**
+//!   ([`ca_core::store::FactStore`] — interned values, column-major
+//!   tuples, a live bitmap, and a store-level null-occurrence index), and
+//!   triggers never leave its id space: the join emits frontier rows as
+//!   interned `ValueId`s, and the round's trigger set, the satisfied set
+//!   and the per-rule fired set are id-level [`RowSet`]s, so a binding
+//!   costs one hash probe and only a trigger that actually fires is
+//!   decoded to `Value`s. No trigger ever fires twice; head satisfaction
+//!   is decided set-at-a-time by evaluating the head pattern as a query
+//!   whose answers are precisely the satisfied frontier valuations,
+//!   instead of one satisfiability probe per match;
 //! * egd equalities accumulate in a **union-find** over values (constant
 //!   roots win; two distinct constant roots fail the chase) and rewrite
 //!   only the facts that mention a merged null, via a null-occurrence
@@ -58,15 +61,15 @@ use ca_cert::{
     CertAtom, CertEgd, CertFact, CertRule, CertTerm, ChaseCert, ChaseCertOutcome, ChaseStep,
 };
 use ca_core::exec;
-use ca_core::fxhash::{FxHashMap, FxHashSet};
+use ca_core::fxhash::FxHashMap;
 use ca_core::store::{partition, FactId, FactStore};
 use ca_core::symbol::Symbol;
 use ca_core::value::{Null, NullGen, Value};
 use ca_gdm::database::GenDb;
 use ca_query::ast::{Atom, ConjunctiveQuery, Term, UnionQuery};
 use ca_query::engine::{
-    eval_prepared_into, eval_seeded_into, prepare_cq, CompiledCq, CompiledUcq, CostModel, DbIndex,
-    PlanCache, PreparedCq, PART_MIN_WORK,
+    eval_prepared_ids, eval_seeded_ids, eval_seeded_into, prepare_cq, CompiledCq, CompiledUcq,
+    CostModel, DbIndex, IdEmit, PlanCache, PreparedCq, RowSet, PART_MIN_WORK,
 };
 use ca_relational::schema::Schema;
 
@@ -414,9 +417,11 @@ pub(super) fn try_chase(
     ))
 }
 
-/// A round's trigger (or satisfied) set for one rule: frontier
-/// valuations, kept sorted so firing order is deterministic.
-type TriggerSet = BTreeSet<Vec<Value>>;
+/// A trigger, satisfied or fired set for one rule: frontier valuations
+/// as interned value-id rows of the chase store. Value ids are stable
+/// for the whole run (the store's interner only grows), so these sets
+/// persist across rounds; egd merges re-map `fired` explicitly.
+type TriggerSet = RowSet;
 
 /// A body assignment in step vocabulary: sorted `(variable, value)` pairs.
 type Assignment = Vec<(u32, Value)>;
@@ -510,8 +515,10 @@ fn run(
         steps: Vec::new(),
         poisoned: false,
     });
-    let mut fired: Vec<FxHashSet<Vec<Value>>> =
-        rules.iter().map(|_| FxHashSet::default()).collect();
+    let mut fired: Vec<TriggerSet> = rules
+        .iter()
+        .map(|r| RowSet::new(r.body_u.head_arity()))
+        .collect();
     let mut steps = 0usize;
     // Load the instance; duplicate nodes intern to one fact.
     let mut delta: Vec<FactId> = Vec::new();
@@ -625,11 +632,17 @@ fn run(
                 // instance: fired valuations go through the same merge
                 // substitution as the facts (order-independent — the set
                 // is rebuilt, not iterated into anything ordered).
+                let mut buf: Vec<_> = Vec::new();
                 for set in fired.iter_mut() {
-                    *set = set
-                        .drain()
-                        .map(|row| row.iter().map(|&v| uf.find(v)).collect())
-                        .collect();
+                    let mut next = RowSet::new(set.arity());
+                    for row in set.rows() {
+                        buf.clear();
+                        for &id in row {
+                            buf.push(store.intern_value(uf.find(store.value(id))));
+                        }
+                        next.insert(&buf);
+                    }
+                    *set = next;
                 }
                 egd_delta = changed.clone();
                 rewritten_all.extend(changed);
@@ -686,18 +699,20 @@ fn run(
         };
         let mut inserted: Vec<u32> = Vec::new();
         for (r, rule) in rules.iter().enumerate() {
-            for row in &triggers[r] {
-                if fired[r].contains(row) {
-                    continue;
+            // Mark every new trigger fired, even when already satisfied:
+            // satisfaction is monotone under fact addition, and egd
+            // merges rewrite the fired rows together with the facts, so
+            // a satisfied trigger can never need firing later. Only the
+            // triggers that do fire are decoded, once each, and they fire
+            // in frontier-valuation order.
+            let mut due: Vec<Vec<Value>> = Vec::new();
+            for row in triggers[r].rows() {
+                if fired[r].insert(row) && !satisfied[r].contains(row) {
+                    due.push(row.iter().map(|&id| store.value(id)).collect());
                 }
-                // Mark fired even when already satisfied: satisfaction is
-                // monotone under fact addition, and egd merges rewrite
-                // the fired rows together with the facts, so a satisfied
-                // trigger can never need firing later.
-                fired[r].insert(row.clone());
-                if satisfied[r].contains(row) {
-                    continue;
-                }
+            }
+            due.sort_unstable();
+            for row in &due {
                 if steps >= cfg.max_steps {
                     let cert = rec.take().and_then(|rr| {
                         let partial = resolved_facts(schema, &store, &uf);
@@ -999,47 +1014,54 @@ fn egd_matches(
         |e, p| sole(&plans[&(e, p)].0).lead_bind_pos(),
         threads,
     );
-    let limit = cfg.match_limit;
     let idx = &*idx;
-    let results: Vec<(BTreeSet<(Value, Value)>, bool)> = exec::map(tasks.len(), threads, |t, _| {
+    let results: Vec<(RowSet, bool)> = exec::map(tasks.len(), threads, |t, _| {
         let MatchTask {
             rule: e,
             pin: p,
             rows,
         } = &tasks[t];
         let (plan, prepared) = &plans[&(*e, *p)];
-        let plan = sole(plan);
-        let mut set: BTreeSet<(Value, Value)> = BTreeSet::new();
-        let mut over = false;
-        eval_seeded_into(plan, prepared, idx, rows, &mut |row| {
-            if let [a, b] = row {
-                // Insert straight away (dedup is free for Copy
-                // pairs); only a full set needs the existence
-                // check to tell "duplicate" from "over budget".
-                if set.len() == limit {
-                    if set.contains(&(*a, *b)) {
-                        return true;
-                    }
-                    over = true;
-                    return false;
-                }
-                set.insert((*a, *b));
-            }
-            true
-        });
-        (set, over)
+        budgeted_rows(sole(plan), cfg.match_limit, |emit| {
+            eval_seeded_ids(sole(plan), prepared, idx, rows, emit);
+        })
     });
-    let mut pairs = BTreeSet::new();
+    let mut pairs = RowSet::new(2);
     for (set, over) in results {
-        if over {
-            return Err(());
-        }
-        pairs.extend(set);
-        if pairs.len() > limit {
+        pairs.extend(&set);
+        if over || pairs.len() > cfg.match_limit {
             return Err(());
         }
     }
-    Ok(pairs)
+    // The API boundary: decode each distinct pair once, in value order.
+    Ok(pairs
+        .rows()
+        .filter_map(|row| match row {
+            &[a, b] => Some((store.value(a), store.value(b))),
+            _ => None,
+        })
+        .collect())
+}
+
+/// Dedup one match task's bindings into a [`RowSet`] under the match
+/// budget: the flag is set (and the enumeration stopped) as soon as the
+/// task finds more than `limit` *distinct* rows — duplicate bindings of
+/// a row already found never count against the budget.
+fn budgeted_rows(
+    plan: &CompiledCq,
+    limit: usize,
+    eval: impl FnOnce(&mut IdEmit<'_>),
+) -> (RowSet, bool) {
+    let mut set = RowSet::new(plan.head_arity());
+    let mut over = false;
+    eval(&mut |row| {
+        if set.insert(row) && set.len() > limit {
+            over = true;
+            return false;
+        }
+        true
+    });
+    (set, over)
 }
 
 /// Evaluate every rule's pinned plans over the per-relation seeds, and
@@ -1051,7 +1073,7 @@ fn tgd_matches(
     schema: &Schema,
     store: &FactStore,
     rules: &[CompiledRule],
-    fired: &[FxHashSet<Vec<Value>>],
+    fired: &[TriggerSet],
     seeds: &[Vec<u32>],
     first_round: bool,
     cfg: &ChaseConfig,
@@ -1059,8 +1081,14 @@ fn tgd_matches(
     idx: &mut DbIndex,
 ) -> Result<(Vec<TriggerSet>, Vec<TriggerSet>), ()> {
     let n_rules = rules.len();
-    let mut triggers: Vec<TriggerSet> = vec![BTreeSet::new(); n_rules];
-    let mut satisfied: Vec<TriggerSet> = vec![BTreeSet::new(); n_rules];
+    let frontier_sets = || -> Vec<TriggerSet> {
+        rules
+            .iter()
+            .map(|r| RowSet::new(r.body_u.head_arity()))
+            .collect()
+    };
+    let mut triggers = frontier_sets();
+    let mut satisfied = frontier_sets();
     if n_rules == 0 {
         return Ok((triggers, satisfied));
     }
@@ -1106,28 +1134,14 @@ fn tgd_matches(
             rows,
         } = &tasks[t];
         let (plan, prepared) = &plans[&(*r, *p)];
-        let plan = sole(plan);
-        let mut set: TriggerSet = BTreeSet::new();
-        let mut over = false;
-        eval_seeded_into(plan, prepared, shared, rows, &mut |row| {
-            if set.contains(row) {
-                return true;
-            }
-            if set.len() == limit {
-                over = true;
-                return false;
-            }
-            set.insert(row.to_vec());
-            true
-        });
-        (set, over)
+        budgeted_rows(sole(plan), limit, |emit| {
+            eval_seeded_ids(sole(plan), prepared, shared, rows, emit);
+        })
     });
-    for (t, (set, over)) in results.into_iter().enumerate() {
-        if over {
-            return Err(());
-        }
-        triggers[tasks[t].rule].extend(set);
-        if triggers[tasks[t].rule].len() > limit {
+    for (task, (set, over)) in tasks.iter().zip(results) {
+        let acc = &mut triggers[task.rule];
+        acc.extend(&set);
+        if over || acc.len() > limit {
             return Err(());
         }
     }
@@ -1136,7 +1150,7 @@ fn tgd_matches(
     if first_round {
         for (r, rule) in rules.iter().enumerate() {
             if rule.rels.is_empty() {
-                triggers[r].insert(Vec::new());
+                triggers[r].insert(&[]);
             }
         }
     }
@@ -1144,7 +1158,7 @@ fn tgd_matches(
     // candidates. Head plans go through the cache too: a quiet store
     // serves them for free, a mutated one re-costs them.
     let needy: Vec<usize> = (0..n_rules)
-        .filter(|&r| triggers[r].iter().any(|row| !fired[r].contains(row)))
+        .filter(|&r| triggers[r].rows().any(|row| !fired[r].contains(row)))
         .collect();
     let head_plans: Vec<(Arc<CompiledUcq>, PreparedCq)> = needy
         .iter()
@@ -1160,17 +1174,9 @@ fn tgd_matches(
     let shared = &*idx;
     let head_results: Vec<(TriggerSet, bool)> = exec::map(needy.len(), threads, |i, _| {
         let (plan, prepared) = &head_plans[i];
-        let mut set = BTreeSet::new();
-        let mut over = false;
-        eval_prepared_into(sole(plan), prepared, shared, &mut |row| {
-            if set.len() == limit {
-                over = true;
-                return false;
-            }
-            set.insert(row.to_vec());
-            true
-        });
-        (set, over)
+        budgeted_rows(sole(plan), limit, |emit| {
+            eval_prepared_ids(sole(plan), prepared, shared, emit);
+        })
     });
     for (i, (set, over)) in head_results.into_iter().enumerate() {
         if over {

@@ -370,6 +370,58 @@ mod tests {
         }
     }
 
+    /// The engine's match budget counts distinct triggers, not bindings.
+    /// Over the transitive closure of a 12-edge path (13 vertices, 78
+    /// `T` facts), the closure-shaped rule `T(x,y), T(y,z) → P(x,z)`
+    /// enumerates one binding per `x < y < z` — 286 bindings — for the
+    /// 66 distinct frontier valuations `(x, z)` with `z ≥ x + 2`. A
+    /// budget of exactly 66 finishes that round (and the chase); 65
+    /// overflows. The reference counts full body matches and gives up
+    /// *at* its budget, so it overflows at both and finishes only past
+    /// 286, with a hom-equivalent result.
+    #[test]
+    fn match_budget_counts_distinct_triggers_not_bindings() {
+        let schema = GenSchema::from_parts(&[("T", 2), ("P", 2)], &[]);
+        let mut start = GenDb::new(schema.clone());
+        for i in 0..=12 {
+            for j in i + 1..=12 {
+                start.add_node("T", vec![c(i), c(j)]);
+            }
+        }
+        let mut body = GenDb::new(schema.clone());
+        body.add_node("T", vec![n(1), n(2)]);
+        body.add_node("T", vec![n(2), n(3)]);
+        let mut head = GenDb::new(schema);
+        head.add_node("P", vec![n(1), n(3)]);
+        let compose = [Rule { body, head }];
+        let (triggers, bindings) = (66, 286);
+        let at = |match_limit: usize, threads: usize| ChaseConfig {
+            match_limit,
+            threads,
+            ..ChaseConfig::new(1000)
+        };
+        let reference =
+            |match_limit| crate::reference::chase_with(&start, &compose, &[], 1000, match_limit);
+        let done = match reference(bindings + 1) {
+            ChaseOutcome::Done(d) => d,
+            other => panic!("reference should finish past the binding count: {other:?}"),
+        };
+        assert_eq!(done.n_nodes(), 78 + triggers);
+        for threads in [1, 4] {
+            match chase_with(&start, &compose, &[], &at(triggers, threads)) {
+                ChaseOutcome::Done(d) => assert!(gdm_equiv(&d, &done)),
+                other => panic!("budget = distinct triggers must finish: {other:?}"),
+            }
+            assert!(matches!(
+                chase_with(&start, &compose, &[], &at(triggers - 1, threads)),
+                ChaseOutcome::Overflow(_)
+            ));
+        }
+        assert!(matches!(reference(triggers - 1), ChaseOutcome::Overflow(_)));
+        assert!(matches!(reference(triggers), ChaseOutcome::Overflow(_)));
+        assert!(matches!(reference(bindings), ChaseOutcome::Overflow(_)));
+    }
+
     /// Certified runs replay through the engine-blind checker for every
     /// outcome kind, and certification does not change the outcome.
     #[test]

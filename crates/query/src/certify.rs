@@ -26,7 +26,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use ca_cert::{
     CertAtom, CertCq, CertFact, CertQuery, CertTerm, CertainVerdictCert, MatchCert, NonCertainCert,
 };
-use ca_core::exec;
 use ca_core::value::{Null, Value};
 use ca_relational::database::NaiveDatabase;
 
@@ -71,36 +70,54 @@ pub fn db_facts(db: &NaiveDatabase) -> BTreeSet<CertFact> {
         .collect()
 }
 
-/// Find a naïve match of disjunct `d` (nulls as values) whose projected
-/// head row equals `row`, as a full body assignment, evaluating at
-/// `width`. Deterministic: the augmented query's first answer row in
-/// `BTreeSet` order wins, whatever the width.
-fn naive_match(
+/// Naïve-match certificates for every row of `rows` that has one: a
+/// match of some disjunct (nulls as values) whose projected head row is
+/// that row, as a full body assignment, evaluating at `width`. One
+/// augmented evaluation per disjunct serves every row. Deterministic:
+/// disjuncts are walked in order and, within one, augmented answer rows
+/// in `BTreeSet` order, so each row keeps its first match whatever the
+/// width — the certificate a per-row search would find.
+fn naive_matches(
     q: &UnionQuery,
     db: &NaiveDatabase,
-    row: &[Value],
+    rows: &BTreeSet<Vec<Value>>,
     width: usize,
-) -> Option<MatchCert> {
+) -> BTreeMap<Vec<Value>, MatchCert> {
+    let mut found: BTreeMap<Vec<Value>, MatchCert> = BTreeMap::new();
     for (d, cq) in q.disjuncts.iter().enumerate() {
+        if found.len() == rows.len() {
+            break;
+        }
         let vars = cq.body_vars();
         let aug = ConjunctiveQuery::with_head(vars.clone(), cq.atoms.clone());
         let Ok(answers) = engine::eval_cq(&aug, db, width) else {
             continue;
         };
+        // Head variable → column of the augmented row (`vars` is sorted).
+        let Some(cols) = cq
+            .head
+            .iter()
+            .map(|h| vars.binary_search(h).ok())
+            .collect::<Option<Vec<usize>>>()
+        else {
+            continue;
+        };
         for assignment_row in answers {
-            let binding: BTreeMap<u32, Value> = vars.iter().copied().zip(assignment_row).collect();
-            let projected: Option<Vec<Value>> =
-                cq.head.iter().map(|h| binding.get(h).copied()).collect();
-            if projected.as_deref() == Some(row) {
-                return Some(MatchCert {
-                    disjunct: d,
-                    assignment: binding.into_iter().collect(),
-                    row: row.to_vec(),
-                });
+            let projected: Vec<Value> = cols.iter().map(|&c| assignment_row[c]).collect();
+            if rows.contains(&projected) && !found.contains_key(&projected) {
+                let assignment = vars.iter().copied().zip(assignment_row).collect();
+                found.insert(
+                    projected.clone(),
+                    MatchCert {
+                        disjunct: d,
+                        assignment,
+                        row: projected,
+                    },
+                );
             }
         }
     }
-    None
+    found
 }
 
 /// Scan `space` sequentially for one completion falsifying `test` on
@@ -141,7 +158,9 @@ pub fn certain_bool_certified(
     let verdict = certain_answer_bool_with(q, db, threads);
     let bq = boolean_form(q);
     if verdict {
-        let cert = naive_match(&bq, db, &[], threads).map(CertainVerdictCert::Certain);
+        let cert = naive_matches(&bq, db, &BTreeSet::from([vec![]]), threads)
+            .pop_first()
+            .map(|(_, m)| CertainVerdictCert::Certain(m));
         return (true, cert);
     }
     let space = CompletionSpace::adequate(db, &ucq_constants(q));
@@ -184,10 +203,7 @@ pub fn certain_table_certified(
     threads: usize,
 ) -> CertifiedTable {
     let table = certain_table_with(q, db, threads);
-    let certs = table
-        .iter()
-        .filter_map(|row| naive_match(q, db, row, threads).map(|c| (row.clone(), c)))
-        .collect();
+    let certs = naive_matches(q, db, &table, threads).into_iter().collect();
     (table, certs)
 }
 
@@ -196,10 +212,13 @@ pub fn certain_table_certified(
 /// `None` when `row` is in fact certain (or the space is vacuous). The
 /// whole grid is scanned: `row` may name a pool constant that is fresh,
 /// so the test is not invariant under permuting the fresh constants.
+/// Each completion evaluates at width 1: the scan is sequential on
+/// purpose, and a per-completion fan-out would spawn once per
+/// completion.
 pub fn refute_row(q: &UnionQuery, db: &NaiveDatabase, row: &[Value]) -> Option<NonCertainCert> {
     let space = CompletionSpace::new(db, &adequate_pool(db, &ucq_constants(q)));
     falsifying_valuation(db, &space, q, |plan, idx| {
-        engine::eval_ucq_gated(plan, idx, exec::width()).contains(row)
+        engine::eval_ucq_gated(plan, idx, 1).contains(row)
     })
     .map(|valuation| NonCertainCert {
         valuation,

@@ -310,7 +310,7 @@ impl CostModel {
     }
 
     /// Estimated work of **seeded** evaluation of a compiled plan
-    /// ([`crate::engine::eval_seeded_into`]): like [`Self::plan_work`],
+    /// ([`crate::engine::eval_seeded_ids`]): like [`Self::plan_work`],
     /// but the leading atom ranges over `n_seed` explicit rows instead
     /// of its whole relation. The chase gates its match-phase fan-out on
     /// this — a round with a small delta over a big store has little

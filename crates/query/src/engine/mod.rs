@@ -17,7 +17,11 @@
 //!    cloning, no `Value` hashing), with per-relation posting tables
 //!    (CSR or hash) keyed by each atom's bound-position signature, built
 //!    lazily on first probe and cached across the disjuncts of a UCQ and
-//!    across repeated evaluations on the same store;
+//!    across repeated evaluations on the same store. Head rows leave the
+//!    join as ids too: every dedup of join output — UCQ answers here,
+//!    chase triggers in `ca_exchange` — goes through the one id-level
+//!    [`RowSet`] ([`rowset`]), and rows are decoded to `Value`s once per
+//!    distinct row, where they cross the API boundary;
 //! 3. **parallel completion sweep** ([`sweep`]) — brute-force certain
 //!    answers sweep the `|pool|^#nulls` completion grid (one completion
 //!    per fresh-constant orbit) in parallel (`ca_core::exec`), grounding
@@ -34,6 +38,7 @@ pub mod cost;
 pub mod index;
 pub mod par;
 pub mod plan;
+pub mod rowset;
 pub mod sweep;
 
 use std::collections::BTreeSet;
@@ -49,36 +54,54 @@ pub use cost::CostModel;
 pub use index::DbIndex;
 pub use par::{eval_ucq_gated, eval_ucq_partitioned, PART_MIN_ROWS, PART_MIN_WORK};
 pub use plan::{CompiledCq, CompiledUcq, PlanError};
+pub use rowset::RowSet;
 pub use sweep::CompletionSpace;
+
+/// An id-level head-row sink: sees each binding's head row as interned
+/// value ids (with duplicates); returning `false` stops the enumeration.
+pub type IdEmit<'e> = dyn FnMut(&[ValueId]) -> bool + 'e;
+
+/// A decoded head-row sink: the [`IdEmit`] contract over `Value`s.
+pub type ValueEmit<'e> = dyn FnMut(&[Value]) -> bool + 'e;
 
 /// Reusable per-evaluation buffers threaded through [`exec`]: the
 /// variable-slot assignment (interned value ids), one probe-key scratch
-/// buffer per join depth, and the head-row buffer handed to `emit`
-/// (translated back to [`Value`]s only at emission).
+/// buffer per join depth, and the head-row buffer handed to `emit`.
 struct ExecBufs {
     slots: Vec<ValueId>,
     scratch: Vec<Vec<ValueId>>,
-    head_buf: Vec<Value>,
+    head_buf: Vec<ValueId>,
+}
+
+impl ExecBufs {
+    fn new(cq: &CompiledCq) -> Self {
+        ExecBufs {
+            slots: vec![0; cq.n_slots],
+            scratch: vec![Vec::new(); cq.atoms.len()],
+            head_buf: Vec::with_capacity(cq.head_slots.len()),
+        }
+    }
 }
 
 /// Execute the plan suffix from `depth`, with `access` naming each
 /// atom's posting table and id-resolved key. The join loop compares
-/// interned `u32` ids read straight from the store's column pages.
-/// Returns `false` iff `emit` requested a stop.
+/// interned `u32` ids read straight from the store's column pages, and
+/// head rows leave it as ids too. Returns `false` iff `emit` requested
+/// a stop.
 fn exec(
     cq: &CompiledCq,
     access: &[index::AtomAccess],
     idx: &DbIndex<'_>,
     depth: usize,
     bufs: &mut ExecBufs,
-    emit: &mut dyn FnMut(&[Value]) -> bool,
+    emit: &mut IdEmit<'_>,
 ) -> bool {
     if depth == cq.atoms.len() {
         // One reused buffer for every head row: `emit` sees a borrow, so
         // no per-row allocation on the hot path.
         bufs.head_buf.clear();
         for &s in &cq.head_slots {
-            bufs.head_buf.push(idx.value(bufs.slots[s]));
+            bufs.head_buf.push(bufs.slots[s]);
         }
         return emit(&bufs.head_buf);
     }
@@ -133,58 +156,48 @@ fn exec(
     keep_going
 }
 
-/// Evaluate a compiled CQ, calling `emit` on every head row (with
-/// duplicates; `emit` returning `false` stops the enumeration early).
-pub fn eval_cq_into(
-    cq: &CompiledCq,
-    idx: &mut DbIndex<'_>,
-    emit: &mut dyn FnMut(&[Value]) -> bool,
-) {
-    let mut slots: Vec<ValueId> = vec![0; cq.n_slots];
-    let mut head_buf = Vec::with_capacity(cq.head_slots.len());
-    if let [atom] = cq.atoms.as_slice() {
-        // Single-atom fast path: with one atom there is no join to
-        // accelerate, so building (or even resolving) a posting table
-        // can never amortize against the single scan that replaces it —
-        // measurably so on small relations (`e02_ucq_edge`). Verify the
-        // bound-position signature inline, exactly as the scanning
-        // branch of `exec` would.
-        let key = idx.resolve_key(&atom.key);
-        let cols = idx.cols(atom.rel);
-        'cand: for &row in idx.rows(atom.rel) {
-            let r = row as usize;
-            for (&pos, kp) in atom.sig.iter().zip(&key) {
-                let expected = match kp {
-                    index::IdKey::Const(id) => *id,
-                    index::IdKey::Slot(s) => slots[*s],
-                };
-                if cols[pos][r] != expected {
-                    continue 'cand;
-                }
-            }
-            for &(pos, slot) in &atom.binds {
-                slots[slot] = cols[pos][r];
-            }
-            for &(pos, slot) in &atom.checks {
-                if cols[pos][r] != slots[slot] {
-                    continue 'cand;
-                }
-            }
-            head_buf.clear();
-            head_buf.extend(cq.head_slots.iter().map(|&s| idx.value(slots[s])));
-            if !emit(&head_buf) {
-                return;
-            }
-        }
-        return;
+/// Run `eval` with a [`ValueEmit`] adapted to the id-level join: each
+/// head row is decoded through the index's interner into one reused
+/// buffer. The `&[Value]` entry points are this adapter over their
+/// id-level twins.
+fn decoding(idx: &DbIndex<'_>, emit: &mut ValueEmit<'_>, eval: impl FnOnce(&mut IdEmit<'_>)) {
+    let mut buf: Vec<Value> = Vec::new();
+    eval(&mut |row| {
+        buf.clear();
+        buf.extend(row.iter().map(|&id| idx.value(id)));
+        emit(&buf)
+    });
+}
+
+/// The access paths of a one-off evaluation. A single-atom plan scans:
+/// with one atom there is no join to accelerate, so building (or even
+/// resolving) a posting table can never amortize against the one scan
+/// that replaces it — measurably so on small relations (`e02_ucq_edge`).
+/// Every other plan resolves its posting tables ([`prepare_cq`]).
+fn prepare_once(cq: &CompiledCq, idx: &mut DbIndex<'_>) -> PreparedCq {
+    match cq.atoms.as_slice() {
+        [atom] => PreparedCq {
+            access: vec![index::AtomAccess {
+                handle: index::SCAN,
+                key: idx.resolve_key(&atom.key),
+            }],
+        },
+        _ => prepare_cq(cq, idx),
     }
-    let access = idx.ensure_cq(cq);
-    let mut bufs = ExecBufs {
-        slots,
-        scratch: vec![Vec::new(); cq.atoms.len()],
-        head_buf,
-    };
-    exec(cq, &access, &*idx, 0, &mut bufs, emit);
+}
+
+/// Evaluate a compiled CQ, calling `emit` on every head row as value
+/// ids (with duplicates; `emit` returning `false` stops the enumeration
+/// early). The ids come from `idx`'s store.
+pub fn eval_cq_ids(cq: &CompiledCq, idx: &mut DbIndex<'_>, emit: &mut IdEmit<'_>) {
+    let prep = prepare_once(cq, idx);
+    eval_prepared_ids(cq, &prep, idx, emit);
+}
+
+/// [`eval_cq_ids`] with every head row decoded to `Value`s.
+pub fn eval_cq_into(cq: &CompiledCq, idx: &mut DbIndex<'_>, emit: &mut ValueEmit<'_>) {
+    let prep = prepare_once(cq, idx);
+    eval_prepared_into(cq, &prep, idx, emit);
 }
 
 /// Minimum live rows of the leading relation before semijoin reduction
@@ -264,40 +277,45 @@ pub fn prepare_cq(cq: &CompiledCq, idx: &mut DbIndex<'_>) -> PreparedCq {
 }
 
 /// Evaluate a prepared CQ against an immutably borrowed index, calling
-/// `emit` on every head row (with duplicates; returning `false` stops
-/// early). `prep` must come from [`prepare_cq`] for the same plan and
-/// index.
+/// `emit` on every head row as value ids (with duplicates; returning
+/// `false` stops early). `prep` must come from [`prepare_cq`] for the
+/// same plan and index.
+pub fn eval_prepared_ids(
+    cq: &CompiledCq,
+    prep: &PreparedCq,
+    idx: &DbIndex<'_>,
+    emit: &mut IdEmit<'_>,
+) {
+    debug_assert_eq!(prep.access.len(), cq.atoms.len());
+    exec(cq, &prep.access, idx, 0, &mut ExecBufs::new(cq), emit);
+}
+
+/// [`eval_prepared_ids`] with every head row decoded to `Value`s.
 pub fn eval_prepared_into(
     cq: &CompiledCq,
     prep: &PreparedCq,
     idx: &DbIndex<'_>,
-    emit: &mut dyn FnMut(&[Value]) -> bool,
+    emit: &mut ValueEmit<'_>,
 ) {
-    debug_assert_eq!(prep.access.len(), cq.atoms.len());
-    let mut bufs = ExecBufs {
-        slots: vec![0; cq.n_slots],
-        scratch: vec![Vec::new(); cq.atoms.len()],
-        head_buf: Vec::with_capacity(cq.head_slots.len()),
-    };
-    exec(cq, &prep.access, idx, 0, &mut bufs, emit);
+    decoding(idx, emit, |e| eval_prepared_ids(cq, prep, idx, e));
 }
 
-/// Semi-naive evaluation of a prepared CQ: the **first** atom of the
-/// plan ranges over `seed` — an explicit list of live *row ids of its
-/// relation* (a fact id translates via `FactStore::fact_row`), typically
-/// a delta set — instead of the whole relation, and the remaining atoms
-/// join as usual. Compile the plan with a `pin` on the atom to be seeded
+/// Semi-naive evaluation of a prepared CQ, emitting head rows as value
+/// ids: the **first** atom of the plan ranges over `seed` — an explicit
+/// list of live *row ids of its relation* (a fact id translates via
+/// `FactStore::fact_row`), typically a delta set — instead of the whole
+/// relation, and the remaining atoms join as usual. Compile the plan with a `pin` on the atom to be seeded
 /// ([`CompiledCq::compile_costed`]) so it leads the join order; nothing
 /// precedes it, so its key parts are all constants, verified inline per
 /// candidate here (a `Slot` part is treated as unmatched rather than
 /// trusted). A plan with no atoms emits nothing: there is no atom to
 /// seed.
-pub fn eval_seeded_into(
+pub fn eval_seeded_ids(
     cq: &CompiledCq,
     prep: &PreparedCq,
     idx: &DbIndex<'_>,
     seed: &[u32],
-    emit: &mut dyn FnMut(&[Value]) -> bool,
+    emit: &mut IdEmit<'_>,
 ) {
     let Some(atom) = cq.atoms.first() else {
         return;
@@ -307,11 +325,7 @@ pub fn eval_seeded_into(
         return;
     };
     let cols = idx.cols(atom.rel);
-    let mut bufs = ExecBufs {
-        slots: vec![0; cq.n_slots],
-        scratch: vec![Vec::new(); cq.atoms.len()],
-        head_buf: Vec::with_capacity(cq.head_slots.len()),
-    };
+    let mut bufs = ExecBufs::new(cq);
     'cand: for &row in seed {
         let r = row as usize;
         for (&pos, kp) in atom.sig.iter().zip(&acc.key) {
@@ -337,12 +351,23 @@ pub fn eval_seeded_into(
     }
 }
 
+/// [`eval_seeded_ids`] with every head row decoded to `Value`s.
+pub fn eval_seeded_into(
+    cq: &CompiledCq,
+    prep: &PreparedCq,
+    idx: &DbIndex<'_>,
+    seed: &[u32],
+    emit: &mut ValueEmit<'_>,
+) {
+    decoding(idx, emit, |e| eval_seeded_ids(cq, prep, idx, seed, e));
+}
+
 /// Boolean evaluation of a compiled UCQ on a prepared index, with early
 /// exit on the first witness.
 pub fn eval_ucq_bool_on(ucq: &CompiledUcq, idx: &mut DbIndex<'_>) -> bool {
     ucq.disjuncts.iter().any(|d| {
         let mut hit = false;
-        eval_cq_into(d, idx, &mut |_| {
+        eval_cq_ids(d, idx, &mut |_| {
             hit = true;
             false
         });

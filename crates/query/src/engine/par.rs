@@ -6,7 +6,7 @@
 //! disjoint row partitions (hash-partitioned on its first bound column
 //! via `ca_core::store::partition`, or on row ids when the atom binds
 //! nothing) and evaluates each partition as an independent seeded join
-//! ([`super::eval_seeded_into`]) as its own [`ca_core::exec::map`] task.
+//! ([`super::eval_seeded_ids`]) as its own [`ca_core::exec::map`] task.
 //!
 //! Correctness is the partition layer's completeness property: the
 //! partitions disjointly cover the leading atom's live rows, and every
@@ -32,7 +32,7 @@ use ca_core::exec;
 use ca_core::store::partition::{partition_ids, partition_rows};
 use ca_core::value::Value;
 
-use super::{eval_cq_into, eval_seeded_into, prepare_cq, CompiledCq, DbIndex};
+use super::{eval_cq_ids, eval_seeded_ids, prepare_cq, CompiledCq, CompiledUcq, DbIndex, RowSet};
 
 /// Minimum live rows of the leading relation before the automatic path
 /// partitions: under this, fixed spawn/merge overhead dominates the join
@@ -64,7 +64,7 @@ fn worth_partitioning(cq: &CompiledCq, idx: &DbIndex<'_>) -> bool {
 /// [`super::semijoin_filter_lead`]): chain/star plans over a large lead
 /// relation pre-filter the lead rows through later atoms' postings, then
 /// run the reduced seeded join; everything else takes the plain engine.
-fn eval_cq_seq_into(cq: &CompiledCq, idx: &mut DbIndex<'_>, out: &mut BTreeSet<Vec<Value>>) {
+fn eval_cq_seq_into(cq: &CompiledCq, idx: &mut DbIndex<'_>, out: &mut RowSet) {
     let reducible = cq.atoms.len() >= 3
         && cq
             .atoms
@@ -73,36 +73,33 @@ fn eval_cq_seq_into(cq: &CompiledCq, idx: &mut DbIndex<'_>, out: &mut BTreeSet<V
     if reducible {
         let prep = prepare_cq(cq, idx);
         if let Some(kept) = super::semijoin_filter_lead(cq, &prep, idx) {
-            eval_seeded_into(cq, &prep, idx, &kept, &mut |row| {
-                out.insert(row.to_vec());
+            eval_seeded_ids(cq, &prep, idx, &kept, &mut |row| {
+                out.insert(row);
                 true
             });
             return;
         }
     }
-    eval_cq_into(cq, idx, &mut |row| {
-        out.insert(row.to_vec());
+    eval_cq_ids(cq, idx, &mut |row| {
+        out.insert(row);
         true
     });
 }
 
 /// Evaluate a compiled CQ with its leading atom split into `parts`
 /// hash partitions on separate workers, inserting every head row into
-/// `out`. Result contents are identical to [`eval_cq_into`] for every
-/// `parts`, including `parts == 1`.
+/// `out`. Result contents are identical to [`eval_cq_seq_into`] for
+/// every `parts`, including `parts == 1`.
 fn eval_cq_partitioned_into(
     cq: &CompiledCq,
     idx: &mut DbIndex<'_>,
     parts: usize,
-    out: &mut BTreeSet<Vec<Value>>,
+    out: &mut RowSet,
 ) {
     let Some(lead) = cq.atoms.first() else {
         // The empty conjunction has no atom to partition; its one
         // (empty) row comes from the sequential path.
-        eval_cq_into(cq, idx, &mut |row| {
-            out.insert(row.to_vec());
-            true
-        });
+        eval_cq_seq_into(cq, idx, out);
         return;
     };
     let parts = parts.max(1);
@@ -125,17 +122,17 @@ fn eval_cq_partitioned_into(
     let idx = &*idx;
     let prep = &prep;
     let sets = exec::map(partitions.len(), parts, |p, _| {
-        let mut local: BTreeSet<Vec<Value>> = BTreeSet::new();
-        eval_seeded_into(cq, prep, idx, &partitions[p], &mut |row| {
-            local.insert(row.to_vec());
+        let mut local = RowSet::new(cq.head_arity());
+        eval_seeded_ids(cq, prep, idx, &partitions[p], &mut |row| {
+            local.insert(row);
             true
         });
         local
     });
-    // Deterministic merge: fold the disjoint per-partition answer sets
-    // in partition-index order. Set union is order-insensitive, so the
-    // partition count can never leak into the result bytes.
-    sets.into_iter().fold(&mut *out, |acc, set| {
+    // Deterministic merge: fold the per-partition row sets in
+    // partition-index order. Set union is order-insensitive, so the
+    // partition count can never leak into the decoded result.
+    sets.iter().fold(&mut *out, |acc, set| {
         acc.extend(set);
         acc
     });
@@ -147,15 +144,15 @@ fn eval_cq_partitioned_into(
 /// every `parts`; the width pins and benches use it to exercise the
 /// partitioned path on inputs the gate would keep sequential.
 pub fn eval_ucq_partitioned(
-    ucq: &super::CompiledUcq,
+    ucq: &CompiledUcq,
     idx: &mut DbIndex<'_>,
     parts: usize,
 ) -> BTreeSet<Vec<Value>> {
-    let mut out = BTreeSet::new();
+    let mut out = RowSet::new(ucq.head_arity());
     for d in &ucq.disjuncts {
         eval_cq_partitioned_into(d, idx, parts, &mut out);
     }
-    out
+    out.decode(|id| idx.value(id))
 }
 
 /// Evaluate a compiled UCQ: the union of the disjuncts' answer sets.
@@ -163,13 +160,15 @@ pub fn eval_ucq_partitioned(
 /// its width. Each disjunct partitions only when `width > 1` and
 /// `worth_partitioning` says the join can amortize the fan-out, at
 /// `width` honoured verbatim; otherwise it runs the sequential engine.
-/// Contents are identical at every width.
+/// Every branch dedups bindings as id rows into one [`RowSet`], decoded
+/// to `Value`s once per distinct answer. Contents are identical at
+/// every width.
 pub fn eval_ucq_gated(
-    ucq: &super::CompiledUcq,
+    ucq: &CompiledUcq,
     idx: &mut DbIndex<'_>,
     width: usize,
 ) -> BTreeSet<Vec<Value>> {
-    let mut out = BTreeSet::new();
+    let mut out = RowSet::new(ucq.head_arity());
     for d in &ucq.disjuncts {
         if width > 1 && worth_partitioning(d, idx) {
             eval_cq_partitioned_into(d, idx, width, &mut out);
@@ -177,7 +176,7 @@ pub fn eval_ucq_gated(
             eval_cq_seq_into(d, idx, &mut out);
         }
     }
-    out
+    out.decode(|id| idx.value(id))
 }
 
 #[cfg(test)]
@@ -207,9 +206,10 @@ mod tests {
     }
 
     fn partitioned(cq: &CompiledCq, db: &NaiveDatabase, parts: usize) -> BTreeSet<Vec<Value>> {
-        let mut out = BTreeSet::new();
-        eval_cq_partitioned_into(cq, &mut DbIndex::new(db), parts, &mut out);
-        out
+        let mut idx = DbIndex::new(db);
+        let mut out = RowSet::new(cq.head_arity());
+        eval_cq_partitioned_into(cq, &mut idx, parts, &mut out);
+        out.decode(|id| idx.value(id))
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl CompiledCq {
     ///
     /// With `pin` naming an atom, that atom is forced to the front of the
     /// join order. Because nothing precedes it, its key parts are all
-    /// constants, which is what lets [`crate::engine::eval_seeded_into`]
+    /// constants, which is what lets [`crate::engine::eval_seeded_ids`]
     /// range it over an explicit fact list (a semi-naive delta set)
     /// instead of the whole relation. A `pin` out of range is ignored.
     pub fn compile_costed(
@@ -165,6 +165,12 @@ impl CompiledCq {
         self.atoms
             .first()
             .and_then(|a| a.binds.first().map(|&(pos, _)| pos))
+    }
+
+    /// The width of the plan's head rows (the arity of the
+    /// [`crate::engine::RowSet`] that dedups them).
+    pub fn head_arity(&self) -> usize {
+        self.head_slots.len()
     }
 }
 

@@ -19,9 +19,9 @@ use ca_query::certain::{
     naive_eval_table, ucq_constants,
 };
 use ca_query::certify;
-use ca_query::engine::{self, sweep, CompiledUcq, CompletionSpace, CostModel};
+use ca_query::engine::{self, sweep, CompiledUcq, CompletionSpace, CostModel, DbIndex};
 use ca_query::eval::eval_fo;
-use ca_query::generate::{random_ucq_over, QueryParams};
+use ca_query::generate::{random_cq_over, random_ucq_over, QueryParams};
 use ca_query::reference;
 use ca_query::{Atom, ConjunctiveQuery, Fo, Term, UnionQuery};
 use ca_relational::database::NaiveDatabase;
@@ -95,6 +95,125 @@ fn sweep_instance(
         },
     );
     (db, q)
+}
+
+/// An instance for the id-level table runner: 1–3 relations of arity
+/// ≤ 3, 40 facts over 6 constants and 4 nulls, and a UCQ of 1–3
+/// disjuncts of differing shapes (1–3 atoms, 1–4 variables each) with a
+/// head arity of 0–3 — so answer rows take both the packed (≤ 2) and
+/// the general (3) dedup key. Head variables are drawn with
+/// replacement, and one disjunct in three repeats a single variable in
+/// every head column, `(x, x, …)`.
+fn runner_instance(seed: u64) -> (NaiveDatabase, UnionQuery) {
+    let mut rng = Rng::new(seed);
+    let schema = random_schema(&mut rng, 1 + (seed % 3) as usize, 3);
+    let db = random_naive_db_over(
+        &mut rng,
+        &schema,
+        DbParams {
+            n_facts: 40,
+            arity: 0,
+            n_constants: 6,
+            n_nulls: 4,
+            null_pct: 30,
+        },
+    );
+    let head_arity = rng.below(4) as usize;
+    let disjuncts = (0..1 + rng.below(3))
+        .map(|_| {
+            let params = QueryParams {
+                n_disjuncts: 1,
+                n_atoms: 1 + rng.below(3) as usize,
+                n_vars: 1 + rng.below(4) as u32,
+                arity: 0,
+                n_constants: 6,
+                const_pct: 15,
+            };
+            let mut cq = random_cq_over(&mut rng, &schema, head_arity, params);
+            if head_arity > 1 && rng.chance(1, 3) {
+                cq.head = vec![cq.head[0]; head_arity];
+            }
+            cq
+        })
+        .collect();
+    (db, UnionQuery::new(disjuncts))
+}
+
+/// `eval_ucq_gated` and `eval_ucq_partitioned` against the reference at
+/// widths 1, 2, 4 and 7, under the uninformed (greedy-order) plan and
+/// the index's cost-based plan.
+fn assert_runners_match_reference(
+    db: &NaiveDatabase,
+    q: &UnionQuery,
+) -> Result<(), proptest::TestCaseError> {
+    let want = reference::eval_ucq(q, db);
+    let idx = DbIndex::new(db);
+    let plans = [
+        CompiledUcq::compile_costed(q, &db.schema, &CostModel::default()),
+        CompiledUcq::compile_costed(q, &db.schema, idx.model()),
+    ];
+    for plan in plans {
+        let plan = plan.expect("generated over the schema");
+        for width in [1, 2, 4, 7] {
+            prop_assert_eq!(
+                &engine::eval_ucq_gated(&plan, &mut DbIndex::new(db), width),
+                &want,
+                "gated at width {} on {:?}",
+                width,
+                q
+            );
+            prop_assert_eq!(
+                &engine::eval_ucq_partitioned(&plan, &mut DbIndex::new(db), width),
+                &want,
+                "partitioned at width {} on {:?}",
+                width,
+                q
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The gated runner's size-gated branches against the reference, over
+/// a lead relation `R` of over 4,096 distinct rows (`PART_MIN_ROWS`): at width 1 the
+/// three-atom chain runs semijoin-reduced (`S`'s first column covers
+/// only part of `R`'s join column, so reduction prunes), and at every
+/// wider width both queries partition their lead rows. Heads of arity
+/// 2 and 3 cover both dedup keys; nulls cover tagged ids.
+#[test]
+fn gated_runner_size_branches_agree_with_reference() {
+    let mut rng = Rng::new(0x1d5);
+    let mut facts: Vec<String> = Vec::new();
+    let mut value = |domain: u64| {
+        if rng.chance(5, 100) {
+            format!("?n{}", rng.below(8))
+        } else {
+            rng.below(domain).to_string()
+        }
+    };
+    for (rel, rows, (da, db)) in [
+        ("R", 4400, (1000, 64)),
+        ("S", 300, (40, 64)),
+        ("T", 40, (64, 1000)),
+    ] {
+        for _ in 0..rows {
+            let (a, b) = (value(da), value(db));
+            facts.push(format!("{rel}({a}, {b})"));
+        }
+    }
+    let db =
+        ca_relational::parse::parse_database(&facts.join("; ")).expect("generated database parses");
+    let lead = db.schema.relation("R").expect("R is declared");
+    assert!(db.relation(lead).count() >= engine::PART_MIN_ROWS);
+    for q in [
+        "(x, w) :- R(x, y), S(y, z), T(z, w)",
+        "(x, z, z) :- R(x, y), S(y, z), T(z, w)",
+        "(x, z) :- R(x, y), S(y, z)",
+        "(x, y, z) :- R(x, y), S(y, z)",
+    ] {
+        let q = ca_query::parse::parse_ucq(q).expect("fixed query parses");
+        assert_runners_match_reference(&db, &q).unwrap();
+    }
 }
 
 /// `rows` minus every row naming one of the `fresh` constants.
@@ -223,6 +342,15 @@ proptest! {
             reference::eval_ucq(&q, &db),
             "on {:?} over {:?}", &q, &db
         );
+    }
+
+    /// The id-level table runners dedup exactly like the reference
+    /// evaluator: gated and partitioned, at widths 1, 2, 4 and 7, over
+    /// head arities 0–3, repeated head variables and mixed disjuncts.
+    #[test]
+    fn id_level_runners_agree_with_reference(seed in any::<u64>()) {
+        let (db, q) = runner_instance(seed);
+        assert_runners_match_reference(&db, &q)?;
     }
 
     /// Boolean evaluation (early-exit path) agrees with the reference.
