@@ -17,9 +17,10 @@
 //! the certified run reproduces the plain result *before* timing, so
 //! the overhead column reports the cost of certification, not of a
 //! different computation. The overhead is reported honestly: the
-//! certified chase re-derives provenance with extra pinned join plans,
-//! and the certified query sweep re-evaluates witnesses naïvely — these
-//! are real multiples, not rounding noise. Results go to stdout as a
+//! certified chase enumerates full body assignments in its one match
+//! pass (full-head plans, a least witness kept per trigger and egd
+//! pair), and the certified query sweep re-evaluates witnesses naïvely —
+//! these are real multiples, not rounding noise. Results go to stdout as a
 //! table and to `BENCH_cert.json`.
 
 use std::fmt::Write as _;
@@ -374,7 +375,7 @@ fn main() {
         json_rows.push(row);
     }
     report.note("plain = certify off (the default hot path); certified = same engine + derivation recording / witness extraction; check = the engine-blind checker replaying the certificate");
-    report.note("every case asserts plain == certified result and checker Ok before timing; the overhead multiple is the honest price of the extra provenance plans (chase) and naive witness re-evaluation (query)");
+    report.note("every case asserts plain == certified result and checker Ok before timing; the overhead multiple is the honest price of full-assignment matching with least-witness upkeep (chase) and naive witness re-evaluation (query)");
     println!("{report}");
 
     let json = format!(

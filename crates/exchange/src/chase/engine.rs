@@ -15,7 +15,7 @@
 //!   pinned at that fact's position, and quiet regions are never
 //!   re-derived (semi-naive evaluation). Plans are re-costed only when
 //!   the store's revision counter moves; quiet fixpoint passes and the
-//!   per-round provenance/satisfaction evaluations hit the cache;
+//!   per-round satisfaction evaluations hit the cache;
 //! * a *trigger* is a valuation of the rule's frontier (sorted body∩head
 //!   nulls). The state lives in the **workspace columnar fact store**
 //!   ([`ca_core::store::FactStore`] — interned values, column-major
@@ -42,7 +42,12 @@
 //!   firing applies the collected triggers in (rule index, frontier
 //!   valuation) order — lowest trigger wins — with fresh existential
 //!   nulls drawn in that same order, so the chased instance is
-//!   byte-identical at every thread count.
+//!   byte-identical at every thread count;
+//! * egds and tgds share one match routine, and certification
+//!   ([`ChaseConfig::certify`]) is a mode of it: bodies compile with every
+//!   body variable in the head, each row is projected onto its trigger
+//!   (or egd pair), and the value-order-least full assignment stays
+//!   beside that row as value ids, decoded only for recorded steps.
 //!
 //! Differences from the reference loop, all benign up to
 //! hom-equivalence (the differential suite compares with `gdm_equiv`):
@@ -54,7 +59,7 @@
 //! in a different order — outcome agreement on terminating inputs is
 //! unaffected, since chase failure and success are order-independent.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ca_cert::{
@@ -62,14 +67,14 @@ use ca_cert::{
 };
 use ca_core::exec;
 use ca_core::fxhash::FxHashMap;
-use ca_core::store::{partition, FactId, FactStore};
+use ca_core::store::{partition, FactId, FactStore, ValueId};
 use ca_core::symbol::Symbol;
 use ca_core::value::{Null, NullGen, Value};
 use ca_gdm::database::GenDb;
 use ca_query::ast::{Atom, ConjunctiveQuery, Term, UnionQuery};
 use ca_query::engine::{
-    eval_prepared_ids, eval_seeded_ids, eval_seeded_into, prepare_cq, CompiledCq, CompiledUcq,
-    CostModel, DbIndex, IdEmit, PlanCache, PreparedCq, RowSet, PART_MIN_WORK,
+    eval_prepared_ids, eval_seeded_ids, prepare_cq, CompiledCq, CompiledUcq, CostModel, DbIndex,
+    IdEmit, PlanCache, PreparedCq, RowSet, PART_MIN_WORK,
 };
 use ca_relational::schema::Schema;
 
@@ -114,97 +119,97 @@ struct HeadFact {
     template: Vec<HeadTerm>,
 }
 
-/// Full-assignment provenance plans for one pattern body, compiled only
-/// under [`ChaseConfig::certify`]: the same pinned body plans, but with
-/// **every** sorted body variable in the head, so each answer row *is* a
-/// complete body assignment (the witness a [`ChaseStep`] records).
-struct CertPlans {
-    /// `(pinned relation, pinned plan)` per body atom; head = `body_vars`.
-    plans: Vec<(Symbol, CompiledCq)>,
-    /// All body variables, sorted (the provenance rows' column order).
-    body_vars: Vec<u32>,
-    /// Positions in `body_vars` of the normal plan's head projection
-    /// (a rule's frontier, or an egd's equated pair).
+/// The witness shape of a certified body: every body variable, sorted
+/// (the column order of the full-assignment head), and the positions in
+/// it of the match key (a rule's frontier, an egd's equated pair).
+struct Witnessed {
+    vars: Vec<u32>,
     proj: Vec<usize>,
 }
 
-impl CertPlans {
-    fn compile(atoms: &[Atom], proj_vars: &[u32], schema: &Schema) -> Option<CertPlans> {
-        let q = ConjunctiveQuery::with_head(
-            {
-                let mut vars: Vec<u32> = atoms.iter().flat_map(Atom::vars).collect();
-                vars.sort_unstable();
-                vars.dedup();
-                vars
-            },
-            atoms.to_vec(),
-        );
-        let mut plans = Vec::with_capacity(q.atoms.len());
-        for pin in 0..q.atoms.len() {
-            let plan =
-                CompiledCq::compile_costed(&q, schema, Some(pin), &CostModel::default()).ok()?;
-            let rel = schema.relation(&q.atoms[pin].rel)?;
-            plans.push((rel, plan));
-        }
-        let proj = proj_vars
-            .iter()
-            .map(|v| q.head.binary_search(v).ok())
-            .collect::<Option<Vec<usize>>>()?;
-        Some(CertPlans {
-            plans,
-            body_vars: q.head,
-            proj,
-        })
-    }
-}
-
-/// One tgd compiled against the instance schema. The body and head are
-/// kept as queries (validated once up front): the round loop resolves
-/// them into cost-based plans through the run's [`PlanCache`], so the
+/// One rule or egd body as the match phase evaluates it. The body is
+/// kept as a query (validated once up front): the round loop resolves it
+/// into cost-based pinned plans through the run's [`PlanCache`], so the
 /// join orders track the store's live statistics while compile errors
 /// stay impossible after construction (plan errors are independent of
 /// join order and pin — they depend only on the query and the schema).
-struct CompiledRule {
-    /// The body with the sorted frontier as head, as a single-disjunct
-    /// union (the plan cache's key type).
+struct MatchBody {
+    /// The body as a single-disjunct union (the plan cache's key type),
+    /// headed by the match key — or, certify mode, by every body variable.
     body_u: UnionQuery,
     /// The pinned relation of each body atom, in atom order.
     rels: Vec<Symbol>,
-    /// The head pattern as a query over the same frontier head: its
-    /// answer set is exactly the set of satisfied frontier valuations.
+    /// The witness shape (certify mode only).
+    cert: Option<Witnessed>,
+}
+
+impl MatchBody {
+    /// Compile `atoms` with the match key `key` as head (every body
+    /// variable under `certify`). `None` when the body does not compile
+    /// against `schema` — including a key variable the body does not bind
+    /// (or an empty egd body): the caller falls back to the reference,
+    /// which owns the semantics of such malformed constraints.
+    fn compile(atoms: Vec<Atom>, key: Vec<u32>, schema: &Schema, certify: bool) -> Option<Self> {
+        let q = ConjunctiveQuery::with_head(key, atoms);
+        // Validate once: a body that compiles unpinned compiles under every
+        // pin and every join order.
+        CompiledCq::compile_costed(&q, schema, None, &CostModel::default()).ok()?;
+        let rels = q
+            .atoms
+            .iter()
+            .map(|a| schema.relation(&a.rel))
+            .collect::<Option<Vec<_>>>()?;
+        let (q, cert) = if certify {
+            let mut vars: Vec<u32> = q.atoms.iter().flat_map(Atom::vars).collect();
+            vars.sort_unstable();
+            vars.dedup();
+            let proj = q
+                .head
+                .iter()
+                .map(|v| vars.binary_search(v).ok())
+                .collect::<Option<Vec<_>>>()?;
+            let full = ConjunctiveQuery::with_head(vars.clone(), q.atoms);
+            (full, Some(Witnessed { vars, proj }))
+        } else {
+            (q, None)
+        };
+        Some(MatchBody {
+            body_u: UnionQuery::single(q),
+            rels,
+            cert,
+        })
+    }
+
+    /// A witness of this body in step vocabulary.
+    fn assignment(&self, witness: &[ValueId], store: &FactStore) -> Assignment {
+        self.cert
+            .iter()
+            .flat_map(|w| w.vars.iter().copied())
+            .zip(witness.iter().map(|&id| store.value(id)))
+            .collect()
+    }
+}
+
+/// One tgd compiled against the instance schema.
+struct CompiledRule {
+    /// The body, keyed by the sorted frontier.
+    body: MatchBody,
+    /// The head pattern as a query over the frontier head: its answer
+    /// set is exactly the set of satisfied frontier valuations.
     head_u: UnionQuery,
     /// The head facts to instantiate on firing.
     head_facts: Vec<HeadFact>,
-    /// Provenance plans (certify mode only).
-    cert: Option<CertPlans>,
-}
-
-/// One egd compiled against the instance schema: the body projecting
-/// onto the two equated nulls, plus its atoms' relations.
-struct CompiledEgd {
-    body_u: UnionQuery,
-    rels: Vec<Symbol>,
-    /// Provenance plans (certify mode only).
-    cert: Option<CertPlans>,
 }
 
 fn compile_rule(rule: &Rule, schema: &Schema, certify: bool) -> Option<CompiledRule> {
     let frontier: Vec<Null> = rule.frontier().into_iter().collect();
     let head_vars: Vec<u32> = frontier.iter().map(|nl| nl.0).collect();
-    let body_q = ConjunctiveQuery::with_head(head_vars.clone(), pattern_atoms(&rule.body));
-    // Validate once: a body that compiles unpinned compiles under every
-    // pin and every join order.
-    CompiledCq::compile_costed(&body_q, schema, None, &CostModel::default()).ok()?;
-    let rels = body_q
-        .atoms
-        .iter()
-        .map(|a| schema.relation(&a.rel))
-        .collect::<Option<Vec<_>>>()?;
-    let cert = if certify {
-        Some(CertPlans::compile(&body_q.atoms, &head_vars, schema)?)
-    } else {
-        None
-    };
+    let body = MatchBody::compile(
+        pattern_atoms(&rule.body),
+        head_vars.clone(),
+        schema,
+        certify,
+    )?;
     let head_q = ConjunctiveQuery::with_head(head_vars, pattern_atoms(&rule.head));
     CompiledCq::compile_costed(&head_q, schema, None, &CostModel::default()).ok()?;
     let mut head_facts = Vec::with_capacity(rule.head.n_nodes());
@@ -224,35 +229,9 @@ fn compile_rule(rule: &Rule, schema: &Schema, certify: bool) -> Option<CompiledR
         head_facts.push(HeadFact { rel, template });
     }
     Some(CompiledRule {
-        body_u: UnionQuery::single(body_q),
-        rels,
+        body,
         head_u: UnionQuery::single(head_q),
         head_facts,
-        cert,
-    })
-}
-
-fn compile_egd(egd: &Egd, schema: &Schema, certify: bool) -> Option<CompiledEgd> {
-    let pair = [egd.equal.0 .0, egd.equal.1 .0];
-    let q = ConjunctiveQuery::with_head(pair.to_vec(), pattern_atoms(&egd.body));
-    // Validate once unpinned: an equated null not bound by the body (or
-    // an empty body) is an UnboundHeadVar — fall back to the reference,
-    // which owns the semantics of such malformed egds.
-    CompiledCq::compile_costed(&q, schema, None, &CostModel::default()).ok()?;
-    let rels = q
-        .atoms
-        .iter()
-        .map(|a| schema.relation(&a.rel))
-        .collect::<Option<Vec<_>>>()?;
-    let cert = if certify {
-        Some(CertPlans::compile(&q.atoms, &pair, schema)?)
-    } else {
-        None
-    };
-    Some(CompiledEgd {
-        body_u: UnionQuery::single(q),
-        rels,
-        cert,
     })
 }
 
@@ -319,16 +298,17 @@ fn cert_atoms(d: &GenDb) -> Vec<CertAtom> {
         .collect()
 }
 
-/// The constraint-set and initial-instance half of a chase certificate,
-/// built up front; [`run`] appends the derivation and outcome.
-struct CertSkeleton {
+/// The in-flight derivation log of a certified run: the constraint set
+/// and initial instance, built up front, and the steps [`run`] appends.
+struct Recorder {
     rules: Vec<CertRule>,
     egds: Vec<CertEgd>,
     initial: Vec<CertFact>,
+    steps: Vec<ChaseStep>,
 }
 
-fn cert_skeleton(instance: &GenDb, tgds: &[Rule], egds: &[Egd]) -> CertSkeleton {
-    CertSkeleton {
+fn recorder(instance: &GenDb, tgds: &[Rule], egds: &[Egd]) -> Recorder {
+    Recorder {
         rules: tgds
             .iter()
             .map(|r| CertRule {
@@ -356,6 +336,7 @@ fn cert_skeleton(instance: &GenDb, tgds: &[Rule], egds: &[Egd]) -> CertSkeleton 
             facts.dedup();
             facts
         },
+        steps: Vec::new(),
     }
 }
 
@@ -393,9 +374,12 @@ pub(super) fn try_chase(
         .iter()
         .map(|r| compile_rule(r, &schema, cfg.certify))
         .collect::<Option<_>>()?;
-    let cegds: Vec<CompiledEgd> = egds
+    let cegds: Vec<MatchBody> = egds
         .iter()
-        .map(|e| compile_egd(e, &schema, cfg.certify))
+        .map(|e| {
+            let pair = vec![e.equal.0 .0, e.equal.1 .0];
+            MatchBody::compile(pattern_atoms(&e.body), pair, &schema, cfg.certify)
+        })
         .collect::<Option<_>>()?;
     // Fresh existentials avoid every null in sight, as in the reference.
     let gen = NullGen::avoiding(
@@ -404,7 +388,7 @@ pub(super) fn try_chase(
                 .flat_map(|r| r.body.nulls().into_iter().chain(r.head.nulls())),
         ),
     );
-    let skeleton = cfg.certify.then(|| cert_skeleton(instance, tgds, egds));
+    let rec = cfg.certify.then(|| recorder(instance, tgds, egds));
     Some(run(
         &schema,
         &rules,
@@ -413,59 +397,85 @@ pub(super) fn try_chase(
         &rel_of_label,
         gen,
         cfg,
-        skeleton,
+        rec,
     ))
 }
 
-/// A trigger, satisfied or fired set for one rule: frontier valuations
-/// as interned value-id rows of the chase store. Value ids are stable
-/// for the whole run (the store's interner only grows), so these sets
-/// persist across rounds; egd merges re-map `fired` explicitly.
+/// A satisfied or fired set for one rule: frontier valuations as
+/// interned value-id rows of the chase store. Value ids are stable for
+/// the whole run (the store's interner only grows), so these sets persist
+/// across rounds; egd merges re-map `fired` explicitly.
 type TriggerSet = RowSet;
 
 /// A body assignment in step vocabulary: sorted `(variable, value)` pairs.
 type Assignment = Vec<(u32, Value)>;
 
-/// The in-flight derivation log of a certified run.
-struct Recorder {
-    skeleton: CertSkeleton,
-    steps: Vec<ChaseStep>,
-    /// Set when a step found no provenance witness. This is unreachable
-    /// by construction (the provenance plans enumerate a superset of the
-    /// budgeted match sets over the same seeds); if it ever trips, the
-    /// run stays correct and the certificate is withheld rather than
-    /// emitted broken.
-    poisoned: bool,
+/// One body's distinct match keys over a round — a rule's triggers, an
+/// egd's equated pairs — as value-id rows of the chase store. In certify
+/// mode each key row `i` also keeps the value-order-least full body
+/// assignment projecting to it, as value ids at `witness[i * stride..]`.
+#[derive(Default)]
+struct Matches {
+    keys: RowSet,
+    witness: Vec<ValueId>,
+    /// The witness stride (certify mode only).
+    stride: Option<usize>,
 }
 
-impl Recorder {
-    fn finish(self, outcome: ChaseCertOutcome) -> Option<ChaseCert> {
-        if self.poisoned {
-            return None;
+impl Matches {
+    fn new(body: &MatchBody) -> Self {
+        match &body.cert {
+            None => Matches {
+                keys: RowSet::new(body.body_u.head_arity()),
+                ..Matches::default()
+            },
+            Some(w) => Matches {
+                keys: RowSet::indexed(w.proj.len()),
+                witness: Vec::new(),
+                stride: Some(w.vars.len()),
+            },
         }
-        Some(ChaseCert {
-            rules: self.skeleton.rules,
-            egds: self.skeleton.egds,
-            initial: self.skeleton.initial,
-            steps: self.steps,
-            outcome,
-        })
+    }
+
+    /// The witness of key row `i` (empty outside certify mode).
+    fn witness(&self, i: usize) -> &[ValueId] {
+        let stride = self.stride.unwrap_or(0);
+        &self.witness[i * stride..(i + 1) * stride]
+    }
+
+    /// Add `key`, witnessed by the full assignment `full`; `true` iff the
+    /// key is new. A known key keeps the value-order-lesser witness.
+    fn add(&mut self, key: &[ValueId], full: &[ValueId], store: &FactStore) -> bool {
+        let Some(stride) = self.stride else {
+            return self.keys.insert(key);
+        };
+        let (i, new) = self.keys.insert_at(key);
+        if new {
+            self.witness.extend_from_slice(full);
+        } else {
+            let best = &mut self.witness[i * stride..(i + 1) * stride];
+            if value_less(store, full, best) {
+                best.copy_from_slice(full);
+            }
+        }
+        new
+    }
+
+    /// Merge another task's matches of the same body into this one.
+    fn merge(&mut self, other: &Matches, store: &FactStore) {
+        for (i, key) in other.keys.rows().enumerate() {
+            self.add(key, other.witness(i), store);
+        }
     }
 }
 
-/// The facts of a rebuilt instance in checker vocabulary.
-fn gendb_facts(d: &GenDb) -> Vec<CertFact> {
-    let mut facts: Vec<CertFact> = d
-        .labels
-        .iter()
-        .zip(&d.data)
-        .map(|(&label, row)| (d.schema.label_name(label).to_owned(), row.clone()))
-        .collect();
-    // Canonicalized: store fact ids follow insertion order, which must
-    // not leak into certificate bytes.
-    facts.sort();
-    facts.dedup();
-    facts
+/// Whether the id row `a` precedes `b` (same length) in the value order
+/// of their decoded rows: only the first differing ids are decoded.
+fn value_less(store: &FactStore, a: &[ValueId], b: &[ValueId]) -> bool {
+    a.iter()
+        .zip(b)
+        .find(|(x, y)| x != y)
+        .is_some_and(|(&x, &y)| store.value(x) < store.value(y))
 }
 
 /// The live store facts, union-find-resolved, in checker vocabulary.
@@ -481,21 +491,66 @@ fn resolved_facts(schema: &Schema, store: &FactStore, uf: &UnionFind) -> Vec<Cer
             )
         })
         .collect();
+    // Canonicalized: store fact ids follow insertion order, which must
+    // not leak into certificate bytes.
     facts.sort();
     facts.dedup();
     facts
+}
+
+/// How a run ends.
+enum End {
+    Done,
+    Failed,
+    Aborted,
+    Overflow,
+}
+
+/// The outcome of a run ending as `end`, and its certificate when the
+/// run records one. `Done` and `Overflow` carry the store's instance.
+fn end_run(
+    end: End,
+    schema: &Schema,
+    store: &FactStore,
+    instance: &GenDb,
+    uf: &UnionFind,
+    rec: Option<Recorder>,
+) -> (ChaseOutcome, Option<ChaseCert>) {
+    let db = || Box::new(rebuild(schema, store, instance, uf));
+    let facts = || resolved_facts(schema, store, uf);
+    let cert = rec.map(|r| ChaseCert {
+        rules: r.rules,
+        egds: r.egds,
+        initial: r.initial,
+        steps: r.steps,
+        outcome: match end {
+            End::Done => ChaseCertOutcome::Done {
+                final_facts: facts(),
+            },
+            End::Failed => ChaseCertOutcome::Failed,
+            End::Aborted => ChaseCertOutcome::Aborted { partial: facts() },
+            End::Overflow => ChaseCertOutcome::Overflow { partial: facts() },
+        },
+    });
+    let outcome = match end {
+        End::Done => ChaseOutcome::Done(db()),
+        End::Failed => ChaseOutcome::Failed,
+        End::Aborted => ChaseOutcome::Aborted,
+        End::Overflow => ChaseOutcome::Overflow(db()),
+    };
+    (outcome, cert)
 }
 
 #[allow(clippy::too_many_arguments)]
 fn run(
     schema: &Schema,
     rules: &[CompiledRule],
-    egds: &[CompiledEgd],
+    egds: &[MatchBody],
     instance: &GenDb,
     rel_of_label: &[Symbol],
     mut gen: NullGen,
     cfg: &ChaseConfig,
-    skeleton: Option<CertSkeleton>,
+    mut rec: Option<Recorder>,
 ) -> (ChaseOutcome, Option<ChaseCert>) {
     // The chase state lives in the workspace columnar store; relations
     // are registered in schema order, so store symbols coincide with the
@@ -507,17 +562,12 @@ fn run(
     }
     let mut uf = UnionFind::default();
     // Cost-based plans keyed by (query, pin, store revision): quiet
-    // fixpoint passes and the certify-mode re-evaluations reuse plans;
-    // any store mutation re-costs them against fresh statistics.
+    // fixpoint passes reuse plans; any store mutation re-costs them
+    // against fresh statistics.
     let mut cache = PlanCache::new();
-    let mut rec: Option<Recorder> = skeleton.map(|skeleton| Recorder {
-        skeleton,
-        steps: Vec::new(),
-        poisoned: false,
-    });
     let mut fired: Vec<TriggerSet> = rules
         .iter()
-        .map(|r| RowSet::new(r.body_u.head_arity()))
+        .map(|r| RowSet::new(r.head_u.head_arity()))
         .collect();
     let mut steps = 0usize;
     // Load the instance; duplicate nodes intern to one fact.
@@ -535,11 +585,7 @@ fn run(
         // so a round may only begin while budget remains (in particular,
         // `max_steps == 0` aborts immediately).
         if steps >= cfg.max_steps {
-            let cert = rec.take().and_then(|r| {
-                let partial = resolved_facts(schema, &store, &uf);
-                r.finish(ChaseCertOutcome::Aborted { partial })
-            });
-            return (ChaseOutcome::Aborted, cert);
+            return end_run(End::Aborted, schema, &store, instance, &uf, rec);
         }
         let round_start_steps = steps;
 
@@ -548,81 +594,40 @@ fn run(
         if !egds.is_empty() {
             let mut egd_delta: Vec<u32> = delta.clone();
             while !egd_delta.is_empty() {
-                // One index (and one seed partition) per pass, shared by
-                // the match and provenance evaluations: both read the
-                // same store state, so certify mode no longer rebuilds
-                // the posting tables twice per batch.
                 let matched = {
                     let mut idx = DbIndex::over(&store);
                     let seeds = seeds_by_rel(schema, &store, &egd_delta);
-                    match egd_matches(schema, &store, egds, &seeds, cfg, &mut cache, &mut idx) {
-                        Ok(pairs) => {
-                            // Full-assignment witnesses for this batch,
-                            // from the same seeds and store state the
-                            // pairs came from (certify only).
-                            let prov = rec
-                                .as_ref()
-                                .filter(|_| !pairs.is_empty())
-                                .map(|_| egd_provenance(egds, &seeds, &mut idx));
-                            Ok((pairs, prov))
-                        }
-                        Err(()) => Err(()),
-                    }
+                    egd_matches(schema, &store, egds, &seeds, cfg, &mut cache, &mut idx)
                 };
-                let (pairs, prov) = match matched {
-                    Ok(x) => x,
-                    Err(()) => {
-                        let partial = Box::new(rebuild(schema, &store, instance, &uf));
-                        let cert = rec.take().and_then(|r| {
-                            let partial = gendb_facts(&partial);
-                            r.finish(ChaseCertOutcome::Overflow { partial })
-                        });
-                        return (ChaseOutcome::Overflow(partial), cert);
-                    }
+                let Ok((pairs, per_egd)) = matched else {
+                    return end_run(End::Overflow, schema, &store, instance, &uf, rec);
                 };
                 let mut merged: Vec<Null> = Vec::new();
-                for (a, b) in pairs {
+                for (a, b, (e, i)) in pairs {
                     if uf.find(a) == uf.find(b) {
                         continue;
                     }
                     if steps >= cfg.max_steps {
-                        let cert = rec.take().and_then(|r| {
-                            let partial = resolved_facts(schema, &store, &uf);
-                            r.finish(ChaseCertOutcome::Aborted { partial })
-                        });
-                        return (ChaseOutcome::Aborted, cert);
+                        return end_run(End::Aborted, schema, &store, instance, &uf, rec);
                     }
-                    let union = uf.union(a, b);
+                    let merged_entry = match uf.union(a, b) {
+                        Err(()) => None,
+                        Ok(Some(loser)) => Some((loser, uf.find(Value::Null(loser)))),
+                        // Unreachable: the roots were just found distinct.
+                        Ok(None) => continue,
+                    };
                     if let Some(recd) = rec.as_mut() {
-                        // Distinct roots make `Ok(None)` unreachable here,
-                        // so every taken branch is a recordable step.
-                        let merged_entry = match union {
-                            Err(()) => Some(None),
-                            Ok(Some(loser)) => Some(Some((loser, uf.find(Value::Null(loser))))),
-                            Ok(None) => None,
-                        };
-                        if let Some(merged_entry) = merged_entry {
-                            match prov.as_ref().and_then(|p| p.get(&(a, b))) {
-                                Some((e, assignment)) => recd.steps.push(ChaseStep::Merge {
-                                    egd: *e,
-                                    assignment: assignment.clone(),
-                                    merged: merged_entry,
-                                }),
-                                None => recd.poisoned = true,
-                            }
-                        }
+                        recd.steps.push(ChaseStep::Merge {
+                            egd: e,
+                            assignment: egds[e].assignment(per_egd[e].witness(i), &store),
+                            merged: merged_entry,
+                        });
                     }
-                    match union {
-                        Err(()) => {
-                            let cert = rec.take().and_then(|r| r.finish(ChaseCertOutcome::Failed));
-                            return (ChaseOutcome::Failed, cert);
-                        }
-                        Ok(Some(loser)) => {
-                            steps += 1;
-                            merged.push(loser);
-                        }
-                        Ok(None) => {}
-                    }
+                    let Some((loser, _)) = merged_entry else {
+                        return end_run(End::Failed, schema, &store, instance, &uf, rec);
+                    };
+                    steps += 1;
+                    merged.push(loser);
                 }
                 if merged.is_empty() {
                     break;
@@ -659,11 +664,11 @@ fn run(
         tgd_seed.sort_unstable();
         tgd_seed.dedup();
         // As in the egd phase: one index and one seed partition for the
-        // trigger match, the satisfaction check, and the provenance pass.
+        // trigger match and the satisfaction check.
         let matched = {
             let mut idx = DbIndex::over(&store);
             let seeds = seeds_by_rel(schema, &store, &tgd_seed);
-            match tgd_matches(
+            tgd_matches(
                 schema,
                 &store,
                 rules,
@@ -673,29 +678,10 @@ fn run(
                 cfg,
                 &mut cache,
                 &mut idx,
-            ) {
-                Ok(x) => {
-                    // Full-assignment witnesses for this round's firings
-                    // (certify only; same seeds and store state as the
-                    // trigger match above).
-                    let prov = rec
-                        .as_ref()
-                        .map(|_| tgd_provenance(rules, &seeds, first_round, &mut idx));
-                    Ok((x, prov))
-                }
-                Err(()) => Err(()),
-            }
+            )
         };
-        let ((triggers, satisfied), prov) = match matched {
-            Ok(x) => x,
-            Err(()) => {
-                let partial = Box::new(rebuild(schema, &store, instance, &uf));
-                let cert = rec.take().and_then(|r| {
-                    let partial = gendb_facts(&partial);
-                    r.finish(ChaseCertOutcome::Overflow { partial })
-                });
-                return (ChaseOutcome::Overflow(partial), cert);
-            }
+        let Ok((triggers, satisfied)) = matched else {
+            return end_run(End::Overflow, schema, &store, instance, &uf, rec);
         };
         let mut inserted: Vec<u32> = Vec::new();
         for (r, rule) in rules.iter().enumerate() {
@@ -705,20 +691,16 @@ fn run(
             // a satisfied trigger can never need firing later. Only the
             // triggers that do fire are decoded, once each, and they fire
             // in frontier-valuation order.
-            let mut due: Vec<Vec<Value>> = Vec::new();
-            for row in triggers[r].rows() {
+            let mut due: Vec<(Vec<Value>, usize)> = Vec::new();
+            for (i, row) in triggers[r].keys.rows().enumerate() {
                 if fired[r].insert(row) && !satisfied[r].contains(row) {
-                    due.push(row.iter().map(|&id| store.value(id)).collect());
+                    due.push((row.iter().map(|&id| store.value(id)).collect(), i));
                 }
             }
             due.sort_unstable();
-            for row in &due {
+            for (row, i) in &due {
                 if steps >= cfg.max_steps {
-                    let cert = rec.take().and_then(|rr| {
-                        let partial = resolved_facts(schema, &store, &uf);
-                        rr.finish(ChaseCertOutcome::Aborted { partial })
-                    });
-                    return (ChaseOutcome::Aborted, cert);
+                    return end_run(End::Aborted, schema, &store, instance, &uf, rec);
                 }
                 steps += 1;
                 let mut fresh: FxHashMap<Null, Value> = FxHashMap::default();
@@ -739,25 +721,16 @@ fn run(
                     }
                 }
                 if let Some(recd) = rec.as_mut() {
-                    match prov
-                        .as_ref()
-                        .and_then(|p| p.get(r))
-                        .and_then(|m| m.get(row))
-                    {
-                        Some(assignment) => {
-                            let mut ledger: Vec<(u32, Null)> = fresh
-                                .iter()
-                                .filter_map(|(k, v)| v.as_null().map(|n| (k.0, n)))
-                                .collect();
-                            ledger.sort_unstable();
-                            recd.steps.push(ChaseStep::Fire {
-                                rule: r,
-                                assignment: assignment.clone(),
-                                fresh: ledger,
-                            });
-                        }
-                        None => recd.poisoned = true,
-                    }
+                    let mut ledger: Vec<(u32, Null)> = fresh
+                        .iter()
+                        .filter_map(|(k, v)| v.as_null().map(|n| (k.0, n)))
+                        .collect();
+                    ledger.sort_unstable();
+                    recd.steps.push(ChaseStep::Fire {
+                        rule: r,
+                        assignment: rule.body.assignment(triggers[r].witness(*i), &store),
+                        fresh: ledger,
+                    });
                 }
             }
         }
@@ -767,108 +740,9 @@ fn run(
         if steps == round_start_steps {
             // No merge and no firing: every trigger is satisfied or
             // fired, the instance is a fixpoint.
-            let done = Box::new(rebuild(schema, &store, instance, &uf));
-            let cert = rec.take().and_then(|r| {
-                let final_facts = gendb_facts(&done);
-                r.finish(ChaseCertOutcome::Done { final_facts })
-            });
-            return (ChaseOutcome::Done(done), cert);
+            return end_run(End::Done, schema, &store, instance, &uf, rec);
         }
     }
-}
-
-/// Evaluate the egds' full-assignment provenance plans over the same
-/// seeds as the match phase (sequential, unbudgeted): for every equality
-/// pair, the lexicographically least `(egd index, body assignment)`
-/// witnessing it. Certify mode only — the hot path never calls this.
-fn egd_provenance(
-    egds: &[CompiledEgd],
-    seeds: &[Vec<u32>],
-    idx: &mut DbIndex,
-) -> BTreeMap<(Value, Value), (usize, Assignment)> {
-    let mut out: BTreeMap<(Value, Value), (usize, Assignment)> = BTreeMap::new();
-    for (e, egd) in egds.iter().enumerate() {
-        let Some(cert) = &egd.cert else { continue };
-        let (Some(&pa), Some(&pb)) = (cert.proj.first(), cert.proj.get(1)) else {
-            continue;
-        };
-        for (rel, plan) in &cert.plans {
-            let prepared = prepare_cq(plan, idx);
-            let rows = &seeds[rel.index()];
-            eval_seeded_into(plan, &prepared, idx, rows, &mut |row| {
-                if let (Some(&a), Some(&b)) = (row.get(pa), row.get(pb)) {
-                    let assignment: Assignment = cert
-                        .body_vars
-                        .iter()
-                        .copied()
-                        .zip(row.iter().copied())
-                        .collect();
-                    let candidate = (e, assignment);
-                    match out.get_mut(&(a, b)) {
-                        Some(best) => {
-                            if candidate < *best {
-                                *best = candidate;
-                            }
-                        }
-                        None => {
-                            out.insert((a, b), candidate);
-                        }
-                    }
-                }
-                true
-            });
-        }
-    }
-    out
-}
-
-/// Evaluate the rules' full-assignment provenance plans over the same
-/// seeds as the match phase (sequential, unbudgeted): per rule, for every
-/// frontier valuation, the least full body assignment projecting to it.
-/// Certify mode only.
-fn tgd_provenance(
-    rules: &[CompiledRule],
-    seeds: &[Vec<u32>],
-    first_round: bool,
-    idx: &mut DbIndex,
-) -> Vec<BTreeMap<Vec<Value>, Assignment>> {
-    let mut out: Vec<BTreeMap<Vec<Value>, Assignment>> = vec![BTreeMap::new(); rules.len()];
-    for (rule, map) in rules.iter().zip(out.iter_mut()) {
-        let Some(cert) = &rule.cert else { continue };
-        // An empty-body rule has the empty trigger from round one.
-        if cert.plans.is_empty() && first_round {
-            map.insert(Vec::new(), Vec::new());
-        }
-        for (rel, plan) in &cert.plans {
-            let prepared = prepare_cq(plan, idx);
-            let rows = &seeds[rel.index()];
-            eval_seeded_into(plan, &prepared, idx, rows, &mut |row| {
-                let frontier_row: Option<Vec<Value>> =
-                    cert.proj.iter().map(|&p| row.get(p).copied()).collect();
-                let Some(frontier_row) = frontier_row else {
-                    return true;
-                };
-                let assignment: Assignment = cert
-                    .body_vars
-                    .iter()
-                    .copied()
-                    .zip(row.iter().copied())
-                    .collect();
-                match map.get_mut(&frontier_row) {
-                    Some(best) => {
-                        if assignment < *best {
-                            *best = assignment;
-                        }
-                    }
-                    None => {
-                        map.insert(frontier_row, assignment);
-                    }
-                }
-                true
-            });
-        }
-    }
-    out
 }
 
 /// Partition delta fact ids into per-relation row-id seed lists (the
@@ -913,27 +787,27 @@ fn effective_threads(threads: usize, total_seed: usize, est_work: f64) -> usize 
     }
 }
 
-/// A unit of match work: one `(rule-or-egd index, pinned-plan index)`
-/// pair restricted to an owned list of the pinned relation's seed rows.
+/// A unit of match work: one `(body index, pinned-plan index)` pair
+/// restricted to an owned list of the pinned relation's seed rows.
 /// Large seed lists are **hash-partitioned** on the pinned atom's first
 /// bound column (`ca_core::store::partition`) so delta rows sharing a
 /// join key stay on one worker and each worker's probe working set is a
 /// fraction of the posting tables; each task dedups its own output so
 /// workers share the set-building cost too.
 struct MatchTask {
-    rule: usize,
+    body: usize,
     pin: usize,
     rows: Vec<u32>,
 }
 
-/// Build the round's match tasks: every nonempty (rule, pin) seed list
+/// Build the round's match tasks: every nonempty (body, pin) seed list
 /// becomes one task when small (or `threads <= 1`), else `threads`
 /// hash partitions — keyed by the pinned plan's leading bound column via
 /// `key_col`, falling back to row-id partitioning for plans that bind
 /// nothing. Partitions are deterministic in the store contents
 /// (seed-independent of the worker count only in *which rows group
-/// together*, and the per-rule merges are order-insensitive sets), so
-/// results stay byte-identical at every width.
+/// together*, and the per-body merges are order-insensitive), so results
+/// stay byte-identical at every width.
 fn partition_tasks(
     store: &FactStore,
     seeds: &[Vec<u32>],
@@ -942,105 +816,149 @@ fn partition_tasks(
     threads: usize,
 ) -> Vec<MatchTask> {
     let mut tasks = Vec::new();
-    for &(rule, pin, rel) in plan_seeds {
+    for &(body, pin, rel) in plan_seeds {
         let rows = &seeds[rel.index()];
         if threads <= 1 || rows.len() < PAR_MIN_SEED {
             tasks.push(MatchTask {
-                rule,
+                body,
                 pin,
                 rows: rows.clone(),
             });
             continue;
         }
-        let parts = match key_col(rule, pin).and_then(|pos| store.table(rel).cols().get(pos)) {
+        let parts = match key_col(body, pin).and_then(|pos| store.table(rel).cols().get(pos)) {
             Some(col) => partition::partition_rows(col, rows, threads),
             None => partition::partition_ids(rows, threads),
         };
         for rows in parts {
             if !rows.is_empty() {
-                tasks.push(MatchTask { rule, pin, rows });
+                tasks.push(MatchTask { body, pin, rows });
             }
         }
     }
     tasks
 }
 
-/// Resolve the cost-based pinned plan of every `(rule, pin)` pair in
+/// Resolve the cost-based pinned plan of every `(body, pin)` pair in
 /// `plan_seeds` through the cache, prepare it against the shared index,
 /// and sum the model's estimate of the seeded join work. The `BTreeMap`
 /// keeps worker lookups deterministic and ca-lint-clean.
 type PlanTable = BTreeMap<(usize, usize), (Arc<CompiledUcq>, PreparedCq)>;
 
-/// Evaluate every egd's pinned plans over the per-relation seeds,
-/// returning the sorted set of equality pairs. `Err(())` = match budget
-/// exceeded.
-fn egd_matches(
+/// The one match routine of the egd and the tgd phase, certified or
+/// not: evaluate every body's pinned plans over the per-relation seeds
+/// and return each body's merged [`Matches`], in body order, with the
+/// width the phase ran at. Tasks merge in task order; certify-mode
+/// witnesses merge by value-order minimum, so the result is
+/// width-independent. `Err(())` = match budget exceeded.
+fn match_bodies(
     schema: &Schema,
     store: &FactStore,
-    egds: &[CompiledEgd],
+    bodies: &[&MatchBody],
     seeds: &[Vec<u32>],
     cfg: &ChaseConfig,
     cache: &mut PlanCache,
     idx: &mut DbIndex,
-) -> Result<BTreeSet<(Value, Value)>, ()> {
+) -> Result<(Vec<Matches>, usize), ()> {
     let mut plan_seeds: Vec<(usize, usize, Symbol)> = Vec::new();
     let mut total_seed = 0usize;
-    for (e, egd) in egds.iter().enumerate() {
-        for (p, &rel) in egd.rels.iter().enumerate() {
+    for (b, body) in bodies.iter().enumerate() {
+        for (p, &rel) in body.rels.iter().enumerate() {
             let n = seeds[rel.index()].len();
             if n > 0 {
-                plan_seeds.push((e, p, rel));
+                plan_seeds.push((b, p, rel));
                 total_seed += n;
             }
         }
     }
+    // Resolve and prepare the seeded plans up front (mutably), so the
+    // parallel phase below can share the index immutably.
     let mut plans: PlanTable = BTreeMap::new();
     let mut est_work = 0.0f64;
-    for &(e, p, rel) in &plan_seeds {
+    for &(b, p, rel) in &plan_seeds {
         let plan = cache
-            .get_or_compile(&egds[e].body_u, Some(p), schema, store)
-            // ca-lint: allow(L002, reason = "compile_egd validated this body against the schema; plan errors are independent of pin and statistics")
-            .expect("egd bodies are validated at compile time");
+            .get_or_compile(&bodies[b].body_u, Some(p), schema, store)
+            // ca-lint: allow(L002, reason = "MatchBody::compile validated this body against the schema; plan errors are independent of pin and statistics")
+            .expect("match bodies are validated at compile time");
         let cq = sole(&plan);
         let prepared = prepare_cq(cq, idx);
         est_work += idx.model().seeded_work(cq, seeds[rel.index()].len());
-        plans.insert((e, p), (plan, prepared));
+        plans.insert((b, p), (plan, prepared));
     }
     let threads = effective_threads(cfg.threads, total_seed, est_work);
     let tasks = partition_tasks(
         store,
         seeds,
         &plan_seeds,
-        |e, p| sole(&plans[&(e, p)].0).lead_bind_pos(),
+        |b, p| sole(&plans[&(b, p)].0).lead_bind_pos(),
         threads,
     );
-    let idx = &*idx;
-    let results: Vec<(RowSet, bool)> = exec::map(tasks.len(), threads, |t, _| {
-        let MatchTask {
-            rule: e,
-            pin: p,
-            rows,
-        } = &tasks[t];
-        let (plan, prepared) = &plans[&(*e, *p)];
-        budgeted_rows(sole(plan), cfg.match_limit, |emit| {
-            eval_seeded_ids(sole(plan), prepared, idx, rows, emit);
+    let limit = cfg.match_limit;
+    let shared = &*idx;
+    let results: Vec<(Matches, bool)> = exec::map(tasks.len(), threads, |t, _| {
+        let MatchTask { body, pin, rows } = &tasks[t];
+        let (plan, prepared) = &plans[&(*body, *pin)];
+        budgeted_matches(bodies[*body], sole(plan), limit, store, |emit| {
+            eval_seeded_ids(sole(plan), prepared, shared, rows, emit);
         })
     });
-    let mut pairs = RowSet::new(2);
-    for (set, over) in results {
-        pairs.extend(&set);
-        if over || pairs.len() > cfg.match_limit {
+    let mut out: Vec<Matches> = bodies.iter().map(|b| Matches::new(b)).collect();
+    for (task, (matches, over)) in tasks.iter().zip(results) {
+        let acc = &mut out[task.body];
+        if acc.keys.is_empty() {
+            *acc = matches;
+        } else {
+            acc.merge(&matches, store);
+        }
+        if over || acc.keys.len() > limit {
             return Err(());
         }
     }
-    // The API boundary: decode each distinct pair once, in value order.
-    Ok(pairs
-        .rows()
-        .filter_map(|row| match row {
-            &[a, b] => Some((store.value(a), store.value(b))),
-            _ => None,
+    Ok((out, threads))
+}
+
+/// An egd pair, decoded, with its witness's `(egd index, key row in
+/// that egd's matches)`.
+type EgdPair = (Value, Value, (usize, usize));
+
+/// The egd phase's match pass: the distinct equality pairs over all
+/// egds in value order, each owned by the lowest egd that produced it,
+/// and the per-egd matches holding the witnesses. `Err(())` = match
+/// budget exceeded.
+fn egd_matches(
+    schema: &Schema,
+    store: &FactStore,
+    egds: &[MatchBody],
+    seeds: &[Vec<u32>],
+    cfg: &ChaseConfig,
+    cache: &mut PlanCache,
+    idx: &mut DbIndex,
+) -> Result<(Vec<EgdPair>, Vec<Matches>), ()> {
+    let bodies: Vec<&MatchBody> = egds.iter().collect();
+    let (per_egd, _) = match_bodies(schema, store, &bodies, seeds, cfg, cache, idx)?;
+    // The API boundary: decode each egd's distinct pairs once and sort
+    // them by value; of a pair several egds produced, the sort puts the
+    // lowest egd first and the dedup keeps it.
+    let mut pairs: Vec<EgdPair> = per_egd
+        .iter()
+        .enumerate()
+        .flat_map(|(e, matches)| {
+            matches
+                .keys
+                .rows()
+                .enumerate()
+                .filter_map(move |(i, row)| match row {
+                    &[a, b] => Some((store.value(a), store.value(b), (e, i))),
+                    _ => None,
+                })
         })
-        .collect())
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup_by_key(|&mut (a, b, _)| (a, b));
+    if pairs.len() > cfg.match_limit {
+        return Err(());
+    }
+    Ok((pairs, per_egd))
 }
 
 /// Dedup one match task's bindings into a [`RowSet`] under the match
@@ -1064,11 +982,46 @@ fn budgeted_rows(
     (set, over)
 }
 
-/// Evaluate every rule's pinned plans over the per-relation seeds, and
-/// the head plans of rules with unfired candidates. Returns per-rule
-/// `(triggers, satisfied)` frontier-valuation sets. `Err(())` = match
+/// [`budgeted_rows`] for one match task of `body`. In certify mode each
+/// full-assignment row is projected onto the match key, and the budget
+/// counts distinct keys.
+fn budgeted_matches(
+    body: &MatchBody,
+    plan: &CompiledCq,
+    limit: usize,
+    store: &FactStore,
+    eval: impl FnOnce(&mut IdEmit<'_>),
+) -> (Matches, bool) {
+    let Some(w) = &body.cert else {
+        let (keys, over) = budgeted_rows(plan, limit, eval);
+        return (
+            Matches {
+                keys,
+                ..Matches::default()
+            },
+            over,
+        );
+    };
+    let mut matches = Matches::new(body);
+    let mut over = false;
+    let mut key: Vec<ValueId> = Vec::with_capacity(w.proj.len());
+    eval(&mut |row| {
+        key.clear();
+        key.extend(w.proj.iter().map(|&p| row[p]));
+        if matches.add(&key, row, store) && matches.keys.len() > limit {
+            over = true;
+            return false;
+        }
+        true
+    });
+    (matches, over)
+}
+
+/// The tgd phase's match pass: per rule, the round's triggers (with
+/// their witnesses in certify mode) and — for rules with unfired
+/// triggers — the satisfied frontier valuations. `Err(())` = match
 /// budget exceeded.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+#[allow(clippy::too_many_arguments)]
 fn tgd_matches(
     schema: &Schema,
     store: &FactStore,
@@ -1079,86 +1032,28 @@ fn tgd_matches(
     cfg: &ChaseConfig,
     cache: &mut PlanCache,
     idx: &mut DbIndex,
-) -> Result<(Vec<TriggerSet>, Vec<TriggerSet>), ()> {
-    let n_rules = rules.len();
-    let frontier_sets = || -> Vec<TriggerSet> {
-        rules
-            .iter()
-            .map(|r| RowSet::new(r.body_u.head_arity()))
-            .collect()
-    };
-    let mut triggers = frontier_sets();
-    let mut satisfied = frontier_sets();
-    if n_rules == 0 {
-        return Ok((triggers, satisfied));
-    }
-    let mut plan_seeds: Vec<(usize, usize, Symbol)> = Vec::new();
-    let mut total_seed = 0usize;
-    for (r, rule) in rules.iter().enumerate() {
-        for (p, &rel) in rule.rels.iter().enumerate() {
-            let n = seeds[rel.index()].len();
-            if n > 0 {
-                plan_seeds.push((r, p, rel));
-                total_seed += n;
-            }
-        }
-    }
-    // Resolve and prepare the seeded plans up front (mutably), so the
-    // parallel phase below can share the index immutably.
-    let mut plans: PlanTable = BTreeMap::new();
-    let mut est_work = 0.0f64;
-    for &(r, p, rel) in &plan_seeds {
-        let plan = cache
-            .get_or_compile(&rules[r].body_u, Some(p), schema, store)
-            // ca-lint: allow(L002, reason = "compile_rule validated this body against the schema; plan errors are independent of pin and statistics")
-            .expect("rule bodies are validated at compile time");
-        let cq = sole(&plan);
-        let prepared = prepare_cq(cq, idx);
-        est_work += idx.model().seeded_work(cq, seeds[rel.index()].len());
-        plans.insert((r, p), (plan, prepared));
-    }
-    let threads = effective_threads(cfg.threads, total_seed, est_work);
-    let tasks = partition_tasks(
-        store,
-        seeds,
-        &plan_seeds,
-        |r, p| sole(&plans[&(r, p)].0).lead_bind_pos(),
-        threads,
-    );
-    let limit = cfg.match_limit;
-    let shared = &*idx;
-    let results: Vec<(TriggerSet, bool)> = exec::map(tasks.len(), threads, |t, _| {
-        let MatchTask {
-            rule: r,
-            pin: p,
-            rows,
-        } = &tasks[t];
-        let (plan, prepared) = &plans[&(*r, *p)];
-        budgeted_rows(sole(plan), limit, |emit| {
-            eval_seeded_ids(sole(plan), prepared, shared, rows, emit);
-        })
-    });
-    for (task, (set, over)) in tasks.iter().zip(results) {
-        let acc = &mut triggers[task.rule];
-        acc.extend(&set);
-        if over || acc.len() > limit {
-            return Err(());
-        }
-    }
+) -> Result<(Vec<Matches>, Vec<TriggerSet>), ()> {
+    let bodies: Vec<&MatchBody> = rules.iter().map(|r| &r.body).collect();
+    let (mut triggers, threads) = match_bodies(schema, store, &bodies, seeds, cfg, cache, idx)?;
     // A rule with an empty body has no atom to seed: its single trigger
-    // (the empty valuation) exists from round one.
+    // (the empty valuation, witnessed by the empty assignment) exists
+    // from round one.
     if first_round {
         for (r, rule) in rules.iter().enumerate() {
-            if rule.rels.is_empty() {
-                triggers[r].insert(&[]);
+            if rule.body.rels.is_empty() {
+                triggers[r].add(&[], &[], store);
             }
         }
     }
     // Head satisfaction, set-at-a-time, for rules with unfired
     // candidates. Head plans go through the cache too: a quiet store
     // serves them for free, a mutated one re-costs them.
-    let needy: Vec<usize> = (0..n_rules)
-        .filter(|&r| triggers[r].rows().any(|row| !fired[r].contains(row)))
+    let mut satisfied: Vec<TriggerSet> = rules
+        .iter()
+        .map(|r| RowSet::new(r.head_u.head_arity()))
+        .collect();
+    let needy: Vec<usize> = (0..rules.len())
+        .filter(|&r| triggers[r].keys.rows().any(|row| !fired[r].contains(row)))
         .collect();
     let head_plans: Vec<(Arc<CompiledUcq>, PreparedCq)> = needy
         .iter()
@@ -1172,6 +1067,7 @@ fn tgd_matches(
         })
         .collect();
     let shared = &*idx;
+    let limit = cfg.match_limit;
     let head_results: Vec<(TriggerSet, bool)> = exec::map(needy.len(), threads, |i, _| {
         let (plan, prepared) = &head_plans[i];
         budgeted_rows(sole(plan), limit, |emit| {

@@ -89,9 +89,10 @@ pub struct ChaseConfig {
     pub threads: usize,
     /// Record a replayable derivation log ([`ca_cert::ChaseCert`]) while
     /// chasing. Off by default: the hot path then allocates nothing for
-    /// provenance. Certified runs evaluate one extra (sequential)
-    /// full-assignment plan per rule per round to attach body witnesses
-    /// to every firing and merge.
+    /// provenance. Certified runs keep one match pass: bodies compile
+    /// with every body variable in the head, and each trigger or egd pair
+    /// keeps its value-order-least full assignment, decoded only for the
+    /// firings and merges recorded.
     pub certify: bool,
 }
 

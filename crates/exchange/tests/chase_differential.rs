@@ -148,7 +148,9 @@ proptest! {
     /// Certificate round-trip: the certified chase reaches the same
     /// outcome as the plain entry point, and its derivation log replays
     /// through the engine-blind checker — engine, reference (via
-    /// `chase_agrees_with_reference`), and certificate all agree.
+    /// `chase_agrees_with_reference`), and certificate all agree. The
+    /// witnesses come out of the (possibly parallel) match phase, so the
+    /// certificate must also be byte-identical at widths 1 and 4.
     #[test]
     fn certified_chase_agrees_and_replays(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..8) {
         use ca_cert::ChaseCertOutcome;
@@ -161,6 +163,15 @@ proptest! {
         let (certified, cert) = chase_certified(&d, &tgds, &egds, &cfg);
         prop_assert_eq!(&plain, &certified, "certify flag changed the outcome on {:?}", &d);
         let cert = cert.expect("the compiled engine must certify terminating pools");
+        let (wide, wide_cert) = chase_certified(&d, &tgds, &egds, &ChaseConfig::with_threads(BUDGET, 4));
+        prop_assert_eq!(&certified, &wide, "width changed the certified outcome on {:?}", &d);
+        let wide_cert = wide_cert.expect("the compiled engine must certify terminating pools");
+        prop_assert_eq!(
+            cert.to_bytes(),
+            wide_cert.to_bytes(),
+            "width changed the certificate bytes on {:?}",
+            &d
+        );
         prop_assert_eq!(
             ca_cert::check_chase(&cert),
             Ok(()),

@@ -351,17 +351,6 @@ pub fn eval_seeded_ids(
     }
 }
 
-/// [`eval_seeded_ids`] with every head row decoded to `Value`s.
-pub fn eval_seeded_into(
-    cq: &CompiledCq,
-    prep: &PreparedCq,
-    idx: &DbIndex<'_>,
-    seed: &[u32],
-    emit: &mut ValueEmit<'_>,
-) {
-    decoding(idx, emit, |e| eval_seeded_ids(cq, prep, idx, seed, e));
-}
-
 /// Boolean evaluation of a compiled UCQ on a prepared index, with early
 /// exit on the first witness.
 pub fn eval_ucq_bool_on(ucq: &CompiledUcq, idx: &mut DbIndex<'_>) -> bool {
@@ -594,20 +583,18 @@ mod tests {
             .iter()
             .position(|f| f.args == vec![c(2), c(3)])
             .unwrap() as u32;
-        let mut rows = BTreeSet::new();
-        eval_seeded_into(&plan, &prep, &idx, &[seed_id], &mut |row| {
-            rows.insert(row.to_vec());
-            true
-        });
-        assert_eq!(rows, BTreeSet::from([vec![c(2), c(4)]]));
+        let seeded = |seed: &[u32]| {
+            let mut rows = RowSet::new(plan.head_arity());
+            eval_seeded_ids(&plan, &prep, &idx, seed, &mut |row| {
+                rows.insert(row);
+                true
+            });
+            rows.decode(|id| idx.value(id))
+        };
+        assert_eq!(seeded(&[seed_id]), BTreeSet::from([vec![c(2), c(4)]]));
         // Seeding with every fact recovers the full answer set.
         let all: Vec<u32> = (0..db.facts().len() as u32).collect();
-        let mut full = BTreeSet::new();
-        eval_seeded_into(&plan, &prep, &idx, &all, &mut |row| {
-            full.insert(row.to_vec());
-            true
-        });
-        assert_eq!(full, eval_cq(&q, &db, 1).unwrap());
+        assert_eq!(seeded(&all), eval_cq(&q, &db, 1).unwrap());
     }
 
     #[test]

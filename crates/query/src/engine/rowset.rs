@@ -13,7 +13,10 @@
 //!   first-insertion order;
 //! * the open-addressed probe table holds, for arity ≤ 2, the row itself
 //!   packed into one `u64` (so a probe compares one word), and for wider
-//!   rows the row's index into the flat buffer;
+//!   rows the row's index into the flat buffer; an
+//!   [`indexed`](RowSet::indexed) set holds row indices at every arity,
+//!   so [`RowSet::insert_at`] can name the row a duplicate hit (the
+//!   certified chase keeps a witness beside each row that way);
 //! * hashing is the workspace Fx mix ([`ca_core::fxhash`]), addressed by
 //!   the hash's *high* bits — a multiplicative hash's low bits depend
 //!   only on the key's low bits, which for a packed pair is the second
@@ -44,16 +47,17 @@ const PACKED_MAX_ARITY: usize = 2;
 const MIN_BITS: u32 = 4;
 
 /// A set of fixed-arity `ValueId` rows (see the module docs). The
-/// default is the empty set of arity 0.
+/// default is the empty indexed set of arity 0.
 #[derive(Clone, Debug, Default)]
 pub struct RowSet {
     arity: usize,
+    /// Whether probe slots hold packed rows rather than row indices.
+    packed: bool,
     len: usize,
     /// The distinct rows, `arity` ids each, in first-insertion order.
     flat: Vec<ValueId>,
     /// Open-addressed probe table of `2^bits` slots, at most half full:
-    /// packed rows (arity ≤ 2) or row indices (wider rows), else
-    /// [`EMPTY`].
+    /// packed rows or row indices, else [`EMPTY`].
     slots: Vec<u64>,
     bits: u32,
 }
@@ -68,7 +72,17 @@ impl RowSet {
     /// An empty set of `arity`-column rows.
     pub fn new(arity: usize) -> Self {
         RowSet {
+            packed: arity <= PACKED_MAX_ARITY,
+            ..Self::indexed(arity)
+        }
+    }
+
+    /// An empty set of `arity`-column rows whose probe slots hold row
+    /// indices at every arity, for [`Self::insert_at`].
+    pub fn indexed(arity: usize) -> Self {
+        RowSet {
             arity,
+            packed: false,
             len: 0,
             flat: Vec::new(),
             slots: Vec::new(),
@@ -91,14 +105,10 @@ impl RowSet {
         self.len == 0
     }
 
-    fn packed(&self) -> bool {
-        self.arity <= PACKED_MAX_ARITY
-    }
-
     /// The probe-table entry for `row` stored as row number `r`.
     #[inline]
     fn entry(&self, row: &[ValueId], r: usize) -> u64 {
-        if self.packed() {
+        if self.packed {
             pack(row)
         } else {
             r as u64
@@ -117,7 +127,7 @@ impl RowSet {
     #[inline]
     fn find(&self, row: &[ValueId]) -> (usize, bool) {
         let mask = self.slots.len() - 1;
-        let key = self.packed().then(|| pack(row));
+        let key = self.packed.then(|| pack(row));
         let mut h = FxHasher::default();
         match key {
             Some(k) => h.write_u64(k),
@@ -142,20 +152,35 @@ impl RowSet {
 
     /// Insert `row` (of length [`Self::arity`]); `true` iff it was new.
     pub fn insert(&mut self, row: &[ValueId]) -> bool {
+        self.insert_slot(row).1
+    }
+
+    /// Insert `row` into an [`indexed`](Self::indexed) set: the row's
+    /// index in first-insertion order, and `true` iff it was new.
+    pub fn insert_at(&mut self, row: &[ValueId]) -> (usize, bool) {
+        debug_assert!(!self.packed, "insert_at needs an indexed set");
+        let (slot, new) = self.insert_slot(row);
+        (self.slots[slot] as usize, new)
+    }
+
+    /// Insert `row`: the probe slot now holding it, and `true` iff it
+    /// was new.
+    #[inline]
+    fn insert_slot(&mut self, row: &[ValueId]) -> (usize, bool) {
         debug_assert_eq!(row.len(), self.arity, "row arity");
         if 2 * (self.len + 1) > self.slots.len() {
             self.grow();
         }
         let (slot, present) = self.find(row);
         if present {
-            return false;
+            return (slot, false);
         }
         let entry = self.entry(row, self.len);
         debug_assert_ne!(entry, EMPTY, "a stored row packs to the empty slot");
         self.slots[slot] = entry;
         self.flat.extend_from_slice(row);
         self.len += 1;
-        true
+        (slot, true)
     }
 
     /// Whether `row` is in the set.
@@ -204,33 +229,49 @@ mod tests {
 
     /// Rows at every arity from 0 to 4 dedup exactly like a `BTreeSet`,
     /// through several table growths, including ids that differ only in
-    /// their high bits (the packed key must keep both halves).
+    /// their high bits (the packed key must keep both halves) — in both
+    /// the default and the [`RowSet::indexed`] layout, where `insert_at`
+    /// must name each row by its first-insertion index.
     #[test]
     fn dedups_like_a_btreeset_at_every_arity() {
+        use std::collections::BTreeMap;
         for arity in 0..=4usize {
-            let mut set = RowSet::new(arity);
-            let mut oracle: BTreeSet<Vec<ValueId>> = BTreeSet::new();
-            for i in 0..3000u32 {
-                let row: Vec<ValueId> = (0..arity)
-                    .map(|c| {
-                        let v = (i * 7 + c as u32 * 13) % 97;
-                        if (i + c as u32).is_multiple_of(3) {
-                            NULL_TAG | v
-                        } else {
-                            v
-                        }
-                    })
-                    .collect();
-                assert_eq!(
-                    set.insert(&row),
-                    oracle.insert(row.clone()),
-                    "arity {arity}"
-                );
-                assert!(set.contains(&row));
+            for indexed in [false, true] {
+                let mut set = if indexed {
+                    RowSet::indexed(arity)
+                } else {
+                    RowSet::new(arity)
+                };
+                let mut oracle: BTreeMap<Vec<ValueId>, usize> = BTreeMap::new();
+                for i in 0..3000u32 {
+                    let row: Vec<ValueId> = (0..arity)
+                        .map(|c| {
+                            let v = (i * 7 + c as u32 * 13) % 97;
+                            if (i + c as u32).is_multiple_of(3) {
+                                NULL_TAG | v
+                            } else {
+                                v
+                            }
+                        })
+                        .collect();
+                    let next = oracle.len();
+                    let at = *oracle.entry(row.clone()).or_insert(next);
+                    let new = at == next;
+                    if indexed {
+                        assert_eq!(set.insert_at(&row), (at, new), "arity {arity}");
+                    } else {
+                        assert_eq!(set.insert(&row), new, "arity {arity}");
+                    }
+                    assert!(set.contains(&row));
+                }
+                assert_eq!(set.len(), oracle.len());
+                let mut by_index: Vec<(usize, Vec<ValueId>)> =
+                    oracle.into_iter().map(|(row, at)| (at, row)).collect();
+                by_index.sort();
+                let want: Vec<Vec<ValueId>> = by_index.into_iter().map(|(_, row)| row).collect();
+                let got: Vec<Vec<ValueId>> = set.rows().map(<[ValueId]>::to_vec).collect();
+                assert_eq!(got, want, "arity {arity}, indexed {indexed}");
             }
-            assert_eq!(set.len(), oracle.len());
-            let got: BTreeSet<Vec<ValueId>> = set.rows().map(<[ValueId]>::to_vec).collect();
-            assert_eq!(got, oracle);
         }
     }
 

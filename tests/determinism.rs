@@ -438,9 +438,12 @@ fn partitioned_answers_are_partition_count_independent() {
 /// prices the round above `PART_MIN_WORK`. Widths > 1 therefore
 /// genuinely hash-partition the seed lists into per-worker tasks
 /// (smaller fixtures would pass vacuously through the sequential path).
+/// A second fixture does the same for an egd whose merges succeed, so the
+/// certified merge witnesses, too, come out of partitioned tasks.
 #[test]
 fn chase_partition_tasks_are_width_independent() {
-    use ca_exchange::chase::{chase_certified, ChaseConfig};
+    use ca_core::value::Null;
+    use ca_exchange::chase::{chase_certified, ChaseConfig, ChaseOutcome, Egd};
     use ca_exchange::mapping::Rule;
     use ca_gdm::database::GenDb;
     use ca_gdm::schema::GenSchema;
@@ -491,6 +494,62 @@ fn chase_partition_tasks_are_width_independent() {
             assert_eq!(
                 baseline, run,
                 "chase certificate bytes diverged (rebuild #{rotation}, width {threads})"
+            );
+        }
+    }
+
+    // An egd whose merges succeed, through the same fan-out: functionality
+    // T(x, y), T(x, z) → y = z over 250 keys, each with one constant and
+    // seven null successors. Both pins seed all 2,000 `T` facts, and the
+    // eight-fold fan-out per key prices the round past `PART_MIN_WORK`,
+    // so the merge witnesses come out of hash-partitioned tasks. Keys `k`
+    // and `k + 125` share their successors, so every equated pair has two
+    // witnesses, which partitioning may split across tasks: the recorded
+    // one must be the least whatever the width.
+    let keyed = |rotation: usize| {
+        let mut facts: Vec<Vec<Value>> = Vec::new();
+        for k in 0..250i64 {
+            let g = k % 125;
+            facts.push(vec![c(k), c(10_000 + g)]);
+            facts.extend((0..7u32).map(|j| vec![c(k), n(100 + 7 * g as u32 + j)]));
+        }
+        let mid = rotation % facts.len();
+        facts.rotate_left(mid);
+        let mut d = GenDb::new(schema());
+        for args in facts {
+            d.add_node("T", args);
+        }
+        d
+    };
+    let functional = {
+        let mut body = GenDb::new(schema());
+        body.add_node("T", vec![n(90), n(91)]);
+        body.add_node("T", vec![n(90), n(92)]);
+        Egd {
+            body,
+            equal: (Null(91), Null(92)),
+        }
+    };
+    let egds = [functional];
+    let certify = |rotation: usize, threads: usize| {
+        let cfg = ChaseConfig::with_threads(10_000, threads);
+        let (outcome, cert) = chase_certified(&keyed(rotation), &[], &egds, &cfg);
+        assert!(
+            matches!(outcome, ChaseOutcome::Done(_)),
+            "the fixture's merges all succeed"
+        );
+        cert.expect("engine certifies the fixture chase")
+    };
+    let baseline = certify(0, 1);
+    assert_eq!(ca_cert::check_chase(&baseline), Ok(()));
+    assert_eq!(baseline.steps.len(), 125 * 7, "one merge per null");
+    let baseline = baseline.to_bytes();
+    for rotation in 0..3 {
+        for threads in [1usize, 2, 4, 7] {
+            assert_eq!(
+                baseline,
+                certify(rotation, threads).to_bytes(),
+                "egd certificate bytes diverged (rebuild #{rotation}, width {threads})"
             );
         }
     }
